@@ -33,8 +33,8 @@ type Client struct {
 }
 
 // APIError is a non-2xx response from the controller. Code carries
-// the v2 machine-readable taxonomy ("" on v1 endpoints, which only
-// return a message).
+// the machine-readable taxonomy of the error envelope ("" when the
+// answer carried no envelope, e.g. a 404 for an unknown route).
 type APIError struct {
 	Status int
 	Code   string
@@ -396,24 +396,18 @@ func (c *Client) do(req *http.Request, out any) error {
 }
 
 func decodeError(resp *http.Response) error {
-	// v1 bodies are {"error": "message"}; v2 bodies are
-	// {"error": {"code": ..., "message": ...}}. Sniff the shape.
+	// Every controller error body, v1 and v2, is the envelope
+	// {"error": {"code": ..., "message": ...}}.
 	var e struct {
-		Error json.RawMessage `json:"error"`
-	}
-	json.NewDecoder(resp.Body).Decode(&e)
-	apiErr := &APIError{Status: resp.StatusCode}
-	if len(e.Error) > 0 {
-		var wire struct {
+		Error struct {
 			Code    string `json:"code"`
 			Message string `json:"message"`
-		}
-		if e.Error[0] == '{' && json.Unmarshal(e.Error, &wire) == nil {
-			apiErr.Code, apiErr.Msg = wire.Code, wire.Message
-		} else {
-			json.Unmarshal(e.Error, &apiErr.Msg)
-		}
+		} `json:"error"`
 	}
+	// A body that is not the envelope leaves Code empty, and the
+	// status line stands in for the message.
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	apiErr := &APIError{Status: resp.StatusCode, Code: e.Error.Code, Msg: e.Error.Message}
 	if apiErr.Msg == "" {
 		apiErr.Msg = resp.Status
 	}

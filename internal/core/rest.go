@@ -131,17 +131,17 @@ func opForRequest(r *http.Request) string {
 // handleTrace serves a completed trace's span tree by hex id.
 func (s *RESTServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	id, ok := obs.ParseTraceID(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusBadRequest, errors.New("bad trace id (want 16 hex digits)"))
+		httpError(w, CodeInvalidArgument, errors.New("bad trace id (want 16 hex digits)"))
 		return
 	}
 	d := s.ctl.TraceDump(id)
 	if d == nil {
-		httpError(w, http.StatusNotFound, errors.New("trace unknown or aged out"))
+		httpError(w, CodeNotFound, errors.New("trace unknown or aged out"))
 		return
 	}
 	writeJSON(w, http.StatusOK, d)
@@ -152,12 +152,12 @@ func (s *RESTServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 // daemons' side listener (obs.Serve) instead.
 func (s *RESTServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	reg := s.ctl.Registry()
 	if reg == nil {
-		httpError(w, http.StatusNotFound, errors.New("observability disabled"))
+		httpError(w, CodeNotFound, errors.New("observability disabled"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -218,22 +218,22 @@ func objectKeyFrom(r *http.Request) (string, error) {
 func (s *RESTServer) handlePut(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	key, err := objectKeyFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	body, err := readLimit(r.Body)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	opts := PutOptions{
@@ -243,7 +243,7 @@ func (s *RESTServer) handlePut(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("version"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad version: %w", err))
+			httpError(w, CodeInvalidArgument, fmt.Errorf("bad version: %w", err))
 			return
 		}
 		opts.Version, opts.HasVersion = n, true
@@ -251,7 +251,7 @@ func (s *RESTServer) handlePut(w http.ResponseWriter, r *http.Request) {
 	res := sess.PutOp(r.Context(), key, body, opts)
 	switch {
 	case res.Err != nil:
-		httpError(w, res.Err.Code.HTTPStatus(), errors.New(res.Err.Message))
+		httpError(w, res.Err.Code, errors.New(res.Err.Message))
 	case opts.Async:
 		writeJSON(w, http.StatusOK, map[string]any{"op": res.OpID})
 	default:
@@ -264,31 +264,31 @@ func (s *RESTServer) handlePut(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	key, err := objectKeyFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	opts := GetOptions{Certs: certs}
 	if v := r.URL.Query().Get("version"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad version: %w", err))
+			httpError(w, CodeInvalidArgument, fmt.Errorf("bad version: %w", err))
 			return
 		}
 		opts.Version, opts.HasVersion = n, true
 	}
 	meta, send, err := sess.GetStream(r.Context(), key, opts)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("X-Pesos-Version", strconv.FormatInt(meta.Version, 10))
@@ -305,24 +305,24 @@ func (s *RESTServer) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	key, err := objectKeyFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	opts := DeleteOptions{Certs: certs, Async: r.URL.Query().Get("async") != ""}
 	res := sess.DeleteOp(r.Context(), key, opts)
 	switch {
 	case res.Err != nil:
-		httpError(w, res.Err.Code.HTTPStatus(), errors.New(res.Err.Message))
+		httpError(w, res.Err.Code, errors.New(res.Err.Message))
 	case opts.Async:
 		writeJSON(w, http.StatusOK, map[string]any{"op": res.OpID})
 	default:
@@ -333,22 +333,22 @@ func (s *RESTServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleVersions(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	key, err := objectKeyFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	vers, err := sess.ListVersions(r.Context(), key, certs)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"versions": vers})
@@ -357,24 +357,24 @@ func (s *RESTServer) handleVersions(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	key, err := objectKeyFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	ver := int64(0)
 	if v := r.URL.Query().Get("version"); v != "" {
 		if ver, err = strconv.ParseInt(v, 10, 64); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			httpError(w, CodeInvalidArgument, err)
 			return
 		}
 	}
 	meta, err := sess.Verify(r.Context(), key, ver)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -390,17 +390,17 @@ func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleRepair(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	key, err := objectKeyFrom(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	report, err := sess.Repair(r.Context(), key)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -411,17 +411,17 @@ func (s *RESTServer) handleRepair(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	src, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	id, err := sess.PutPolicy(r.Context(), string(src))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id})
@@ -429,12 +429,12 @@ func (s *RESTServer) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 
 func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	src, err := s.ctl.GetPolicySource(r.Context(), r.PathValue("id"))
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -444,17 +444,17 @@ func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleResult(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	opID, err := strconv.ParseUint(r.PathValue("op"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	res, ok := sess.Result(opID)
 	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("result unknown or aged out; re-issue the request"))
+		httpError(w, CodeNotFound, errors.New("result unknown or aged out; re-issue the request"))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -465,7 +465,7 @@ func (s *RESTServer) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleTxCreate(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tx": sess.CreateTx()})
@@ -478,21 +478,21 @@ func (s *RESTServer) txID(r *http.Request) (uint64, error) {
 func (s *RESTServer) handleTxRead(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	id, err := s.txID(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		httpError(w, http.StatusBadRequest, errors.New("missing key parameter"))
+		httpError(w, CodeInvalidArgument, errors.New("missing key parameter"))
 		return
 	}
 	if err := sess.AddRead(id, key); err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
@@ -501,26 +501,26 @@ func (s *RESTServer) handleTxRead(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleTxWrite(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	id, err := s.txID(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		httpError(w, http.StatusBadRequest, errors.New("missing key parameter"))
+		httpError(w, CodeInvalidArgument, errors.New("missing key parameter"))
 		return
 	}
 	body, err := readLimit(r.Body)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	if err := sess.AddWrite(id, key, body); err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
@@ -529,16 +529,16 @@ func (s *RESTServer) handleTxWrite(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleTxCommit(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	id, err := s.txID(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	if err := sess.CommitTx(r.Context(), id); err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"committed": true})
@@ -547,16 +547,16 @@ func (s *RESTServer) handleTxCommit(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleTxAbort(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	id, err := s.txID(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	if err := sess.AbortTx(id); err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"aborted": true})
@@ -565,17 +565,17 @@ func (s *RESTServer) handleTxAbort(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleTxResults(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	id, err := s.txID(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, CodeInvalidArgument, err)
 		return
 	}
 	res, err := sess.CheckResults(id)
 	if err != nil {
-		httpError(w, statusFor(err), err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": res})
@@ -583,7 +583,7 @@ func (s *RESTServer) handleTxResults(w http.ResponseWriter, r *http.Request) {
 
 func (s *RESTServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	st := s.ctl.stats.Snapshot()
@@ -603,7 +603,7 @@ func (s *RESTServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"policyEvals":         st.PolicyEvals,
 		"residualHits":        st.ResidualHits,
 		"indexSkippedClauses": st.IndexSkippedClauses,
-		"txCommits": st.TxCommits, "txAborts": st.TxAborts,
+		"txCommits":           st.TxCommits, "txAborts": st.TxAborts,
 		"readHedges":      st.ReadHedges,
 		"coalescedReads":  st.CoalescedReads,
 		"decisionHits":    st.DecisionHits,
@@ -642,22 +642,16 @@ func (s *RESTServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 // 404 on unsharded controllers.
 func (s *RESTServer) handleClusterMap(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	doc := s.ctl.ClusterMapDoc()
 	if len(doc) == 0 {
-		httpError(w, http.StatusNotFound, errors.New("controller holds no cluster map"))
+		httpError(w, CodeNotFound, errors.New("controller holds no cluster map"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(doc)
-}
-
-// statusFor maps controller errors to HTTP status codes through the
-// v2 error taxonomy, so v1 and v2 can never disagree on a status.
-func statusFor(err error) int {
-	return CodeFor(err).HTTPStatus()
 }
 
 // readLimit buffers a request body up to the inline value limit.
@@ -672,8 +666,22 @@ func readLimit(body io.Reader) ([]byte, error) {
 	return b, nil
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]any{"error": err.Error()})
+// writeError answers with the REST error envelope, its code classified
+// from err under the taxonomy (opresult.go).
+func writeError(w http.ResponseWriter, err error) {
+	httpError(w, CodeFor(err), err)
+}
+
+// httpError answers with the REST error envelope under an explicit
+// code, for failures that carry no sentinel error (a malformed
+// parameter, a failed session). The envelope is
+// {"error":{"code","message"}} on /v1 and /v2 alike, with the HTTP
+// status following the code, so clients and the cluster router
+// classify every answer by its code.
+func httpError(w http.ResponseWriter, code ErrorCode, err error) {
+	writeJSON(w, code.HTTPStatus(), map[string]any{
+		"error": &WireError{Code: code, Message: err.Error()},
+	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -24,31 +24,16 @@ func (s *RESTServer) registerV2() {
 	s.mux.HandleFunc("GET /v2/results/{op}", s.handleResultV2)
 }
 
-// v2Error writes the machine-readable error envelope.
-func v2Error(w http.ResponseWriter, err error) {
-	code := CodeFor(err)
-	writeJSON(w, code.HTTPStatus(), map[string]any{
-		"error": &WireError{Code: code, Message: err.Error()},
-	})
-}
-
-// v2Unauthenticated maps session failures, which carry no sentinel.
-func v2Unauthenticated(w http.ResponseWriter, err error) {
-	writeJSON(w, CodeUnauthenticated.HTTPStatus(), map[string]any{
-		"error": &WireError{Code: CodeUnauthenticated, Message: err.Error()},
-	})
-}
-
 // sessionAndKey runs the shared v2 object-route preamble.
 func (s *RESTServer) sessionAndKey(w http.ResponseWriter, r *http.Request) (*Session, string, bool) {
 	sess, err := s.session(r)
 	if err != nil {
-		v2Unauthenticated(w, err)
+		httpError(w, CodeUnauthenticated, err)
 		return nil, "", false
 	}
 	key, err := objectKeyFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
+		writeError(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
 		return nil, "", false
 	}
 	return sess, key, true
@@ -60,12 +45,12 @@ func (s *RESTServer) sessionAndKey(w http.ResponseWriter, r *http.Request) (*Ses
 func (s *RESTServer) handleList(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		v2Unauthenticated(w, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
+		writeError(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
 		return
 	}
 	q := r.URL.Query()
@@ -78,14 +63,14 @@ func (s *RESTServer) handleList(w http.ResponseWriter, r *http.Request) {
 	if l := q.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n < 0 {
-			v2Error(w, fmt.Errorf("%w: bad limit %q", ErrInvalidArgument, l))
+			writeError(w, fmt.Errorf("%w: bad limit %q", ErrInvalidArgument, l))
 			return
 		}
 		opts.Limit = n
 	}
 	page, err := sess.Scan(r.Context(), opts)
 	if err != nil {
-		v2Error(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, page)
@@ -102,21 +87,21 @@ func (s *RESTServer) handleGetV2(w http.ResponseWriter, r *http.Request) {
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
+		writeError(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
 		return
 	}
 	opts := GetOptions{Certs: certs}
 	if v := r.URL.Query().Get("version"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			v2Error(w, fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err))
+			writeError(w, fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err))
 			return
 		}
 		opts.Version, opts.HasVersion = n, true
 	}
 	meta, send, err := sess.GetStream(r.Context(), key, opts)
 	if err != nil {
-		v2Error(w, err)
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("X-Pesos-Version", strconv.FormatInt(meta.Version, 10))
@@ -143,7 +128,7 @@ func (s *RESTServer) handlePutV2(w http.ResponseWriter, r *http.Request) {
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
+		writeError(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
 		return
 	}
 	q := r.URL.Query()
@@ -151,7 +136,7 @@ func (s *RESTServer) handlePutV2(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("version"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			v2Error(w, fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err))
+			writeError(w, fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err))
 			return
 		}
 		opts.Version, opts.HasVersion = n, true
@@ -162,7 +147,7 @@ func (s *RESTServer) handlePutV2(w http.ResponseWriter, r *http.Request) {
 		// buffered; the inline value limit applies.
 		body, err := readLimit(r.Body)
 		if err != nil {
-			v2Error(w, err)
+			writeError(w, err)
 			return
 		}
 		res = sess.PutOp(r.Context(), key, body, opts)
@@ -180,7 +165,7 @@ func (s *RESTServer) handleDeleteV2(w http.ResponseWriter, r *http.Request) {
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
+		writeError(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
 		return
 	}
 	opts := DeleteOptions{Certs: certs, Async: r.URL.Query().Get("async") != ""}
@@ -191,19 +176,19 @@ func (s *RESTServer) handleDeleteV2(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		v2Unauthenticated(w, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
+		writeError(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
 		return
 	}
 	var req struct {
 		Keys []JSONKey `json:"keys"`
 	}
 	if err := decodeBody(r, &req); err != nil {
-		v2Error(w, err)
+		writeError(w, err)
 		return
 	}
 	keys := make([]string, len(req.Keys))
@@ -212,7 +197,7 @@ func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := sess.BatchGet(r.Context(), keys, certs)
 	if err != nil {
-		v2Error(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": results})
@@ -222,24 +207,24 @@ func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleBatchPut(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		v2Unauthenticated(w, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
+		writeError(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
 		return
 	}
 	var req struct {
 		Ops []BatchPutOp `json:"ops"`
 	}
 	if err := decodeBody(r, &req); err != nil {
-		v2Error(w, err)
+		writeError(w, err)
 		return
 	}
 	results, err := sess.BatchPut(r.Context(), req.Ops, certs)
 	if err != nil {
-		v2Error(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": results})
@@ -250,17 +235,17 @@ func (s *RESTServer) handleBatchPut(w http.ResponseWriter, r *http.Request) {
 func (s *RESTServer) handleResultV2(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.session(r)
 	if err != nil {
-		v2Unauthenticated(w, err)
+		httpError(w, CodeUnauthenticated, err)
 		return
 	}
 	opID, err := strconv.ParseUint(r.PathValue("op"), 10, 64)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: bad op id: %v", ErrInvalidArgument, err))
+		writeError(w, fmt.Errorf("%w: bad op id: %v", ErrInvalidArgument, err))
 		return
 	}
 	res, done, ok := sess.ResultOp(opID)
 	if !ok {
-		v2Error(w, fmt.Errorf("%w: result unknown or aged out; re-issue the request", ErrNotFound))
+		writeError(w, fmt.Errorf("%w: result unknown or aged out; re-issue the request", ErrNotFound))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"done": done, "result": res})

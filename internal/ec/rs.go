@@ -3,8 +3,9 @@
 // shards plus m parity shards, any k of which reconstruct the
 // original data. The arithmetic runs on cached tables (a 64 KB full
 // multiplication table computed once at package init), so the
-// per-byte encode cost is one table lookup and one XOR per parity
-// shard — no field arithmetic on the hot path.
+// per-byte encode cost is one table lookup per parity shard, with the
+// XOR done a 64-bit word at a time — no field arithmetic on the hot
+// path.
 //
 // The code is systematic: the encoding matrix is a (k+m)×k Vandermonde
 // matrix normalized so its top k×k block is the identity, which keeps
@@ -15,6 +16,7 @@
 package ec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -75,19 +77,40 @@ func gfInv(a byte) byte {
 // mulSliceXor folds coef·in into out: out[i] ^= coef·in[i]. in may be
 // shorter than out (the tail contributes zeros — short final chunks of
 // a stripe are implicitly zero-padded).
+//
+// The kernel works a 64-bit word at a time: it loads 8 input bytes as
+// one little-endian word, looks each byte up in a table of coef's
+// products pre-shifted into that byte's lane, ORs the 8 lookups into
+// one product word and XORs it into out with one load and one store.
+// Two words per iteration keep two independent lookup chains in
+// flight. The table costs 2048 entries per call, next to the 8 table
+// lookups per 8 bytes of a 1 MiB shard; the last len(in)%16 bytes go
+// byte by byte.
 func mulSliceXor(coef byte, in, out []byte) {
 	if coef == 0 {
 		return
 	}
-	if coef == 1 {
-		for i := range in {
-			out[i] ^= in[i]
+	var lanes [8][256]uint64 // lanes[s][b] = coef·b << 8s
+	for b, p := range &gfMulTable[coef] {
+		for s := range lanes {
+			lanes[s][b] = uint64(p) << (8 * s)
 		}
-		return
 	}
-	mt := &gfMulTable[coef]
+	mul := func(v uint64) uint64 {
+		return lanes[0][byte(v)] | lanes[1][byte(v>>8)] | lanes[2][byte(v>>16)] |
+			lanes[3][byte(v>>24)] | lanes[4][byte(v>>32)] | lanes[5][byte(v>>40)] |
+			lanes[6][byte(v>>48)] | lanes[7][v>>56]
+	}
+	out = out[:len(in)]
+	for len(in) >= 16 && len(out) >= 16 {
+		p := mul(binary.LittleEndian.Uint64(in))
+		q := mul(binary.LittleEndian.Uint64(in[8:]))
+		binary.LittleEndian.PutUint64(out, binary.LittleEndian.Uint64(out)^p)
+		binary.LittleEndian.PutUint64(out[8:], binary.LittleEndian.Uint64(out[8:])^q)
+		in, out = in[16:], out[16:]
+	}
 	for i, v := range in {
-		out[i] ^= mt[v]
+		out[i] ^= byte(lanes[0][v])
 	}
 }
 

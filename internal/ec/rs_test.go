@@ -98,6 +98,37 @@ func TestEncodeAddIncremental(t *testing.T) {
 	}
 }
 
+// TestMulSliceXorMatchesByteTable checks the word-wide kernel against
+// the byte-at-a-time table reference for every coefficient, every
+// length from 0 to 67 (four 16-byte iterations and each ragged tail),
+// and unaligned input and output offsets. Bytes of out past len(in)
+// must stay untouched.
+func TestMulSliceXorMatchesByteTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const maxLen, maxOff, slack = 67, 7, 9
+	src := make([]byte, maxOff+maxLen)
+	rng.Read(src)
+	base := make([]byte, maxOff+maxLen+slack)
+	rng.Read(base)
+	offsets := [][2]int{{0, 0}, {1, 0}, {0, 3}, {5, 7}, {7, 1}}
+	for c := 0; c < fieldSize; c++ {
+		for n := 0; n <= maxLen; n++ {
+			for _, off := range offsets {
+				in := src[off[0] : off[0]+n]
+				got := append([]byte(nil), base...)
+				want := append([]byte(nil), base...)
+				for i, v := range in {
+					want[off[1]+i] ^= gfMulTable[c][v]
+				}
+				mulSliceXor(byte(c), in, got[off[1]:])
+				if !bytes.Equal(got, want) {
+					t.Fatalf("coef %d, len %d, offsets %v: word-wide kernel differs from byte table", c, n, off)
+				}
+			}
+		}
+	}
+}
+
 // TestTooManyLost verifies the decoder fails loudly — ErrShort, not
 // silently wrong bytes — once m+1 shards are gone.
 func TestTooManyLost(t *testing.T) {

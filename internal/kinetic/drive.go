@@ -351,7 +351,10 @@ func (d *Drive) handlePut(acct wire.ACL, req, resp *wire.Message) {
 		return
 	}
 	d.waitMedia(writeKind(req.Sync), len(req.Value))
-	d.store.put(cloneKey(req.Key), cloneKey(req.Value), cloneKey(req.NewVersion))
+	// The value aliases the request's frame, which belongs to this one
+	// request (wire.ReadFrame), so the store keeps it without a copy.
+	// Key and version are cloned so a small entry never pins a frame.
+	d.store.put(cloneKey(req.Key), req.Value, cloneKey(req.NewVersion))
 }
 
 // writeKind maps a request's durability mode to the media operation:

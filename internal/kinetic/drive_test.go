@@ -1,6 +1,7 @@
 package kinetic
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"testing"
@@ -34,6 +35,88 @@ func TestDrivePutGetDelete(t *testing.T) {
 	resp = d.Handle(signedReq(&wire.Message{Type: wire.TGet, Key: []byte("k")}))
 	if resp.Status != wire.StatusNotFound {
 		t.Fatalf("get after delete: %v", resp.Status)
+	}
+}
+
+// framedPut encodes a signed PUT of key=value under the factory
+// account as the frame body a drive receives.
+func framedPut(t *testing.T, key, value string) []byte {
+	t.Helper()
+	var frame bytes.Buffer
+	m := &wire.Message{Type: wire.TPut, User: DefaultAdminIdentity,
+		Key: []byte(key), Value: []byte(value), NewVersion: []byte("1"), Force: true}
+	if err := wire.NewEncoder().WriteFrame(&frame, m, DefaultAdminKey); err != nil {
+		t.Fatal(err)
+	}
+	return frame.Bytes()[5:]
+}
+
+// TestDriveRejectsTamperedFrames: a drive answers HMAC_FAILURE, counts
+// a rejection and stores nothing for a received PUT whose value byte
+// was flipped, that carries a field after its HMAC or a second HMAC,
+// or that was truncated before its HMAC.
+func TestDriveRejectsTamperedFrames(t *testing.T) {
+	body := framedPut(t, "k", "payload")
+	const hmacField = 2 + 32 // tag, length, SHA-256 tag
+	clone := func() []byte { return append([]byte(nil), body...) }
+	flipped := clone()
+	flipped[bytes.Index(body, []byte("payload"))] ^= 0x01
+	tampered := map[string][]byte{
+		"flipped value byte": flipped,
+		"field after HMAC":   append(clone(), 0x1b, 8, 0, 0, 0, 0, 0, 0, 0, 9), // a trace id
+		"duplicate HMAC":     append(clone(), body[len(body)-hmacField:]...),
+		"truncated":          clone()[:len(body)-hmacField],
+	}
+	d := NewDrive(Config{Name: "t0"})
+	for name, b := range tampered {
+		var req wire.Message
+		if err := req.Unmarshal(b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		before := d.Stats().Rejected.Load()
+		if resp := d.Handle(&req); resp.Status != wire.StatusHMACFailure {
+			t.Errorf("%s: status %v, want %v", name, resp.Status, wire.StatusHMACFailure)
+		}
+		if d.Stats().Rejected.Load() != before+1 {
+			t.Errorf("%s: rejection not counted", name)
+		}
+	}
+	if d.Len() != 0 {
+		t.Fatalf("tampered puts stored %d keys", d.Len())
+	}
+}
+
+// TestDriveStoredValueOwnsFrame: the drive keeps a PUT's value as a
+// slice of the request frame, so reading the next request from the
+// same connection reader must leave the stored value intact.
+func TestDriveStoredValueOwnsFrame(t *testing.T) {
+	var conn bytes.Buffer
+	for _, kv := range [][2]string{{"a", "first value"}, {"b", "SECOND VALUE"}} {
+		body := framedPut(t, kv[0], kv[1])
+		conn.Write([]byte{wire.Magic, 0, 0, 0, byte(len(body))})
+		conn.Write(body)
+	}
+	r := bufio.NewReader(&conn)
+	d := NewDrive(Config{Name: "t0"})
+	var first, second wire.Message
+	if err := wire.ReadFrame(r, &first); err != nil {
+		t.Fatal(err)
+	}
+	if resp := d.Handle(&first); resp.Status != wire.StatusOK {
+		t.Fatalf("put a: %v", resp.Status)
+	}
+	if err := wire.ReadFrame(r, &second); err != nil {
+		t.Fatal(err)
+	}
+	if resp := d.Handle(&second); resp.Status != wire.StatusOK {
+		t.Fatalf("put b: %v", resp.Status)
+	}
+	if string(first.Value) != "first value" {
+		t.Fatalf("first request's value changed to %q", first.Value)
+	}
+	resp := d.Handle(signedReq(&wire.Message{Type: wire.TGet, Key: []byte("a")}))
+	if string(resp.Value) != "first value" {
+		t.Fatalf("stored value changed to %q", resp.Value)
 	}
 }
 

@@ -95,7 +95,7 @@ type Client struct {
 	conn    net.Conn
 	w       *bufio.Writer
 	enc     *wire.Encoder
-	pending map[uint64]chan *wire.Message
+	pending map[uint64]pendingCall
 	closed  bool
 	// dialing, when non-nil, gates a reconnect in flight: exactly one
 	// caller dials (outside the client mutex), everyone else waits on
@@ -106,6 +106,13 @@ type Client struct {
 	dialing *dialGate
 
 	seq atomic.Uint64
+}
+
+// pendingCall is one request awaiting its response, with the
+// connection it was sent on: only that connection's failure fails it.
+type pendingCall struct {
+	ch   chan *wire.Message
+	conn net.Conn
 }
 
 // dialGate is one reconnect attempt: closed when the dial resolves,
@@ -128,7 +135,7 @@ func Dial(ctx context.Context, dial Dialer, creds Credentials) (*Client, error) 
 		conn:    conn,
 		w:       bufio.NewWriterSize(conn, 64<<10),
 		enc:     wire.NewEncoder(),
-		pending: make(map[uint64]chan *wire.Message),
+		pending: make(map[uint64]pendingCall),
 	}
 	go c.readLoop(conn)
 	return c, nil
@@ -152,28 +159,30 @@ func (c *Client) readLoop(conn net.Conn) {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.Seq]
+		call, ok := c.pending[resp.Seq]
 		delete(c.pending, resp.Seq)
 		c.mu.Unlock()
 		if ok {
-			ch <- resp
+			call.ch <- resp
 		}
 	}
 }
 
-// failAll unblocks every pending call after a connection failure. It
-// only clears the client's connection if it is still the failed one —
-// a racing reconnect may already have installed a fresh connection.
+// failAll unblocks every call pending on a failed connection. Calls
+// already sent on a newer connection, installed by a racing reconnect,
+// stay pending, and the client's connection is cleared only if it is
+// still the failed one.
 func (c *Client) failAll(failed net.Conn) {
 	c.mu.Lock()
-	pending := c.pending
-	c.pending = make(map[uint64]chan *wire.Message)
+	defer c.mu.Unlock()
+	for seq, call := range c.pending {
+		if call.conn == failed {
+			delete(c.pending, seq)
+			close(call.ch)
+		}
+	}
 	if c.conn == failed {
 		c.conn = nil
-	}
-	c.mu.Unlock()
-	for _, ch := range pending {
-		close(ch)
 	}
 }
 
@@ -256,7 +265,7 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 		c.enc = wire.NewEncoder()
 	}
 	ch := make(chan *wire.Message, 1)
-	c.pending[req.Seq] = ch
+	c.pending[req.Seq] = pendingCall{ch: ch, conn: c.conn}
 	err := c.enc.WriteFrame(c.w, req, c.creds.Key)
 	if err == nil {
 		err = c.w.Flush()
@@ -305,6 +314,8 @@ func (c *Client) Get(ctx context.Context, key []byte) (value, version []byte, er
 	if err := statusToError(resp); err != nil {
 		return nil, nil, err
 	}
+	// Value and version alias the response frame, which belongs to this
+	// call alone.
 	return resp.Value, resp.DBVersion, nil
 }
 

@@ -288,6 +288,11 @@ type Message struct {
 	ServiceUs uint32
 
 	HMAC []byte // authentication tag, set by Sign
+
+	// fieldAfterHMAC marks a decoded message in which a field, a second
+	// HMAC included, followed the HMAC field. The tag must close the
+	// message, so Verify rejects such a message.
+	fieldAfterHMAC bool
 }
 
 // Field tags for the TLV encoding.
@@ -325,16 +330,29 @@ const (
 
 // Marshal encodes m, including its HMAC field if present.
 func (m *Message) Marshal() []byte {
-	buf := m.marshalBody(nil)
+	buf := m.appendHead(nil)
+	buf = append(buf, m.Value...)
+	buf = m.appendTail(buf)
 	if len(m.HMAC) > 0 {
 		buf = appendField(buf, fHMAC, m.HMAC)
 	}
 	return buf
 }
 
-// marshalBody encodes every field except the HMAC; this is the exact
-// byte string the HMAC is computed over.
-func (m *Message) marshalBody(buf []byte) []byte {
+// encodeParts encodes every field except the value and the HMAC into
+// buf, split around the value: the message body, which the HMAC
+// covers, is buf[:n] | m.Value | buf[n:]. Framing and signing stream
+// the three parts in turn, so the value is never copied into an encode
+// buffer.
+func (m *Message) encodeParts(buf []byte) (_ []byte, n int) {
+	buf = m.appendHead(buf)
+	n = len(buf)
+	return m.appendTail(buf), n
+}
+
+// appendHead appends the fields that precede the value, ending with
+// the value's tag and length when m carries a value.
+func (m *Message) appendHead(buf []byte) []byte {
 	buf = appendField(buf, fType, []byte{byte(m.Type)})
 	var seq [8]byte
 	binary.BigEndian.PutUint64(seq[:], m.Seq)
@@ -352,8 +370,15 @@ func (m *Message) marshalBody(buf []byte) []byte {
 		buf = appendField(buf, fKey, m.Key)
 	}
 	if len(m.Value) > 0 {
-		buf = appendField(buf, fValue, m.Value)
+		buf = append(buf, fValue)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Value)))
 	}
+	return buf
+}
+
+// appendTail appends the fields that follow the value, except the
+// HMAC.
+func (m *Message) appendTail(buf []byte) []byte {
 	if len(m.DBVersion) > 0 {
 		buf = appendField(buf, fDBVersion, m.DBVersion)
 	}
@@ -436,15 +461,21 @@ func (m *Message) marshalBody(buf []byte) []byte {
 	return buf
 }
 
-// Unmarshal decodes data into m, replacing all fields.
+// Unmarshal decodes data into m, replacing all fields. Byte fields
+// alias data instead of copying it: m owns data from here on, and the
+// caller must not reuse it while m or any slice taken from m is live.
 func (m *Message) Unmarshal(data []byte) error {
 	*m = Message{}
+	sawHMAC := false
 	for len(data) > 0 {
 		tag, val, rest, err := readField(data)
 		if err != nil {
 			return err
 		}
 		data = rest
+		if sawHMAC {
+			m.fieldAfterHMAC = true
+		}
 		switch tag {
 		case fType:
 			if len(val) != 1 {
@@ -466,13 +497,13 @@ func (m *Message) Unmarshal(data []byte) error {
 		case fStatusMsg:
 			m.StatusMsg = string(val)
 		case fKey:
-			m.Key = cloneBytes(val)
+			m.Key = alias(val)
 		case fValue:
-			m.Value = cloneBytes(val)
+			m.Value = alias(val)
 		case fDBVersion:
-			m.DBVersion = cloneBytes(val)
+			m.DBVersion = alias(val)
 		case fNewVersion:
-			m.NewVersion = cloneBytes(val)
+			m.NewVersion = alias(val)
 		case fForce:
 			m.Force = len(val) == 1 && val[0] == 1
 		case fSync:
@@ -481,9 +512,9 @@ func (m *Message) Unmarshal(data []byte) error {
 			}
 			m.Sync = SyncMode(val[0])
 		case fStartKey:
-			m.StartKey = cloneBytes(val)
+			m.StartKey = alias(val)
 		case fEndKey:
-			m.EndKey = cloneBytes(val)
+			m.EndKey = alias(val)
 		case fMaxReturned:
 			if len(val) != 4 {
 				return errors.New("wire: bad maxReturned field")
@@ -494,7 +525,7 @@ func (m *Message) Unmarshal(data []byte) error {
 		case fKeyInclusive:
 			m.KeyInclusive = len(val) == 1 && val[0] == 1
 		case fKeysEntry:
-			m.Keys = append(m.Keys, cloneBytes(val))
+			m.Keys = append(m.Keys, alias(val))
 		case fACLEntry:
 			acl, err := unmarshalACL(val)
 			if err != nil {
@@ -502,7 +533,7 @@ func (m *Message) Unmarshal(data []byte) error {
 			}
 			m.ACLs = append(m.ACLs, acl)
 		case fPin:
-			m.Pin = cloneBytes(val)
+			m.Pin = alias(val)
 		case fPeer:
 			m.Peer = string(val)
 		case fLogEntry:
@@ -548,7 +579,8 @@ func (m *Message) Unmarshal(data []byte) error {
 			}
 			m.ServiceUs = binary.BigEndian.Uint32(val)
 		case fHMAC:
-			m.HMAC = cloneBytes(val)
+			sawHMAC = true
+			m.HMAC = alias(val)
 		default:
 			// Unknown fields are skipped for forward compatibility.
 		}
@@ -557,27 +589,34 @@ func (m *Message) Unmarshal(data []byte) error {
 }
 
 // Sign computes and installs the HMAC over the message body using key.
-func (m *Message) Sign(key []byte) {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(m.marshalBody(nil))
-	m.HMAC = mac.Sum(nil)
+func (m *Message) Sign(key []byte) { m.HMAC = m.mac(key) }
+
+// Verify reports whether the message HMAC is valid under key. The tag
+// must be the last field of the message it was decoded from.
+func (m *Message) Verify(key []byte) bool {
+	return !m.fieldAfterHMAC && hmac.Equal(m.mac(key), m.HMAC)
 }
 
-// Verify reports whether the message HMAC is valid under key.
-func (m *Message) Verify(key []byte) bool {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(m.marshalBody(nil))
-	return hmac.Equal(mac.Sum(nil), m.HMAC)
+// mac computes the HMAC of the message body under key.
+func (m *Message) mac(key []byte) []byte {
+	buf, n := m.encodeParts(nil)
+	return bodyMAC(hmac.New(sha256.New, key), buf[:n], m.Value, buf[n:], nil)
+}
+
+// bodyMAC feeds mac the body as head | value | tail and appends the tag
+// to out. The value is hashed where it lies: in the caller's slice when
+// sending, in the received frame when verifying.
+func bodyMAC(mac hash.Hash, head, value, tail, out []byte) []byte {
+	mac.Write(head)
+	mac.Write(value)
+	mac.Write(tail)
+	return mac.Sum(out)
 }
 
 // Encoder signs and frames messages for one connection, reusing the
-// HMAC state, the marshal buffer and the tag buffer across messages.
-// The per-message Sign+WriteFrame pair marshals the body twice and
-// allocates a fresh HMAC state (two SHA-256 key schedules) per
-// message; on the controller's hot path that allocation dominates the
-// per-request CPU outside crypto itself. An Encoder marshals once,
-// re-keys only when the credential key actually changes, and emits
-// byte-identical frames to Sign+WriteFrame.
+// HMAC state, the encode buffer and the tag buffer across messages,
+// and re-keying only when the credential key actually changes. Its
+// frames are byte-identical to Sign followed by WriteFrame.
 //
 // An Encoder is not safe for concurrent use; callers serialize on
 // their connection write lock, which is exactly the scope the reused
@@ -594,50 +633,56 @@ func NewEncoder() *Encoder { return &Encoder{} }
 
 // WriteFrame signs m under key and writes the framed message to w,
 // equivalent to m.Sign(key) followed by WriteFrame(w, m) but without
-// the double marshal or per-message allocations. m.HMAC is left
-// untouched.
+// per-message allocations. m.HMAC is left untouched.
 func (e *Encoder) WriteFrame(w io.Writer, m *Message, key []byte) error {
-	body := m.marshalBody(e.buf[:0])
 	if e.mac == nil || !bytes.Equal(e.key, key) {
 		e.key = append(e.key[:0], key...)
 		e.mac = hmac.New(sha256.New, key)
 	} else {
 		e.mac.Reset()
 	}
-	e.mac.Write(body)
-	e.sum = e.mac.Sum(e.sum[:0])
-	body = appendField(body, fHMAC, e.sum)
-	e.buf = body[:0] // keep the grown capacity for the next message
-	if len(body) > MaxMessageSize {
-		return fmt.Errorf("wire: message too large: %d bytes", len(body))
-	}
-	var hdr [5]byte
-	hdr[0] = Magic
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+	buf, n := m.encodeParts(e.buf[:0])
+	e.sum = bodyMAC(e.mac, buf[:n], m.Value, buf[n:], e.sum[:0])
+	buf = appendField(buf, fHMAC, e.sum)
+	e.buf = buf[:0] // keep the grown capacity for the next message
+	return writeFrame(w, buf[:n], m.Value, buf[n:])
 }
 
 // WriteFrame writes the framed message to w.
 func WriteFrame(w io.Writer, m *Message) error {
-	body := m.Marshal()
-	if len(body) > MaxMessageSize {
-		return fmt.Errorf("wire: message too large: %d bytes", len(body))
+	buf, n := m.encodeParts(nil)
+	if len(m.HMAC) > 0 {
+		buf = appendField(buf, fHMAC, m.HMAC)
+	}
+	return writeFrame(w, buf[:n], m.Value, buf[n:])
+}
+
+// writeFrame writes the frame header, then the body as head | value |
+// tail, where tail ends with the HMAC field of a signed message.
+func writeFrame(w io.Writer, head, value, tail []byte) error {
+	n := len(head) + len(value) + len(tail)
+	if n > MaxMessageSize {
+		return fmt.Errorf("wire: message too large: %d bytes", n)
 	}
 	var hdr [5]byte
 	hdr[0] = Magic
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
+	binary.BigEndian.PutUint32(hdr[1:], uint32(n))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	if _, err := w.Write(value); err != nil {
+		return err
+	}
+	_, err := w.Write(tail)
 	return err
 }
 
-// ReadFrame reads one framed message from r.
+// ReadFrame reads one framed message from r into a freshly allocated
+// frame, which m owns: m's byte fields alias it (see Unmarshal), so a
+// frame is never reused for the next message.
 func ReadFrame(r *bufio.Reader, m *Message) error {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -678,7 +723,7 @@ func unmarshalACL(data []byte) (ACL, error) {
 		case 1:
 			a.Identity = string(val)
 		case 2:
-			a.Key = cloneBytes(val)
+			a.Key = alias(val)
 		case 3:
 			if len(val) != 2 {
 				return a, errors.New("wire: bad ACL perms")
@@ -768,13 +813,13 @@ func unmarshalBatchOp(data []byte) (BatchOp, error) {
 			}
 			op.Op = BatchOpKind(val[0])
 		case bKey:
-			op.Key = cloneBytes(val)
+			op.Key = alias(val)
 		case bValue:
-			op.Value = cloneBytes(val)
+			op.Value = alias(val)
 		case bDBVersion:
-			op.DBVersion = cloneBytes(val)
+			op.DBVersion = alias(val)
 		case bNewVersion:
-			op.NewVersion = cloneBytes(val)
+			op.NewVersion = alias(val)
 		case bForce:
 			op.Force = len(val) == 1 && val[0] == 1
 		}
@@ -883,11 +928,12 @@ func readField(data []byte) (tag uint8, val, rest []byte, err error) {
 	return tag, data[start : start+int(n)], data[start+int(n):], nil
 }
 
-func cloneBytes(b []byte) []byte {
+// alias returns b as a decoded field: nil when empty, otherwise capped
+// at its length so an append by the holder reallocates instead of
+// overwriting the next field of the frame.
+func alias(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return b[:len(b):len(b)]
 }

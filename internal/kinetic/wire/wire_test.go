@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"reflect"
@@ -324,6 +325,124 @@ func TestEncoderMatchesSignWriteFrame(t *testing.T) {
 	}
 }
 
+// TestFramesMatchGolden pins the frame bytes: every writer — the
+// pooled Encoder, Sign+WriteFrame, and the header plus Marshal — emits
+// exactly the frames the earlier single-buffer encoder did, for a
+// signed message with a value, one without, a batch, and an unsigned
+// response.
+func TestFramesMatchGolden(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	cases := []struct {
+		m      *Message
+		signed bool
+		golden string
+	}{
+		{sampleMessage(), true, "4b000000670101040208000000000000002a030b7065736f732d61646d696e060a6d006772656574696e67070b68656c6c6f20776f726c640804000000010904000000020a01010b01011620f4de52c97cb90ce12bc20e519f9ae82ff43920259e49353f483a259e7dcf793c"},
+		{&Message{Type: TGet, Seq: 3, User: "u", Key: []byte("k"), TraceID: 0xdeadbeefcafef00d}, true,
+			"4b0000003f0101020208000000000000000303017506016b1b08deadbeefcafef00d16204cf90450c87b3ba9ffea2063c04415046a537d8a15080793695b32cfd7ed9c4f"},
+		{sampleBatch(), true, "4b0000008701011802080000000000000007030b7065736f732d61646d696e171d01010002066f006b00763103077061796c6f6164050400000001060101171a01010002036d006b03046d657461040400000000050400000001170e01010102066f006b0076300401091620d615f627908dcc49f06eb6390ccab24100c8e41f1598c65bb2be9e68a8ccedf7"},
+		{&Message{Type: TGetResponse, Seq: 2, Key: []byte("k"), Value: []byte("v"), DBVersion: []byte{0, 1}, TraceID: 7, ServiceUs: 1250}, false,
+			"4b000000270101030208000000000000000206016b070176080200011b0800000000000000071c04000004e2"},
+	}
+	for _, c := range cases {
+		golden, err := hex.DecodeString(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames [][]byte
+		if c.signed {
+			var pooled bytes.Buffer
+			if err := NewEncoder().WriteFrame(&pooled, c.m, key); err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, pooled.Bytes())
+			c.m.Sign(key)
+		}
+		var plain bytes.Buffer
+		if err := WriteFrame(&plain, c.m); err != nil {
+			t.Fatal(err)
+		}
+		body := c.m.Marshal()
+		frames = append(frames, plain.Bytes(), append([]byte{Magic, 0, 0, 0, byte(len(body))}, body...))
+		for i, f := range frames {
+			if !bytes.Equal(f, golden) {
+				t.Errorf("%v writer %d:\n got %x\nwant %x", c.m.Type, i, f, golden)
+			}
+		}
+	}
+}
+
+// TestVerifyRejectsTamperedFrames: the HMAC covers the received body,
+// the value included, and must be the frame's last field. A flipped
+// value byte, any field after the HMAC (a second HMAC included) and
+// every truncation either fail to decode or fail verification.
+func TestVerifyRejectsTamperedFrames(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	var frame bytes.Buffer
+	if err := NewEncoder().WriteFrame(&frame, sampleMessage(), key); err != nil {
+		t.Fatal(err)
+	}
+	body := frame.Bytes()[5:]
+	verifies := func(body []byte) bool {
+		var m Message
+		return m.Unmarshal(append([]byte(nil), body...)) == nil && m.Verify(key)
+	}
+	if !verifies(body) {
+		t.Fatal("untampered frame fails verification")
+	}
+	hmacField := body[len(body)-fieldSize(32):]
+
+	flipped := append([]byte(nil), body...)
+	flipped[bytes.Index(body, []byte("hello world"))+4] ^= 0x01
+	tampered := map[string][]byte{
+		"flipped value byte":  flipped,
+		"field after HMAC":    appendField(append([]byte(nil), body...), fTraceID, []byte{0, 0, 0, 0, 0, 0, 0, 9}),
+		"unknown field after": appendField(append([]byte(nil), body...), 0xee, []byte("x")),
+		"duplicate HMAC":      append(append([]byte(nil), body...), hmacField...),
+	}
+	for name, b := range tampered {
+		if verifies(b) {
+			t.Errorf("%s: tampered frame verifies", name)
+		}
+	}
+	for i := 0; i < len(body); i++ {
+		if verifies(body[:i]) {
+			t.Fatalf("frame truncated to %d of %d bytes verifies", i, len(body))
+		}
+	}
+}
+
+// TestMessageOwnsItsFrame: byte fields alias the frame they were read
+// from, so reading the next frame from the same reader must leave an
+// earlier message's fields untouched.
+func TestMessageOwnsItsFrame(t *testing.T) {
+	var buf bytes.Buffer
+	for _, v := range []string{"first value", "SECOND VALUE"} {
+		m := &Message{Type: TPut, Seq: 1, Key: []byte("k"), Value: []byte(v)}
+		if err := WriteFrame(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bufio.NewReader(&buf)
+	var first, second Message
+	if err := ReadFrame(r, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadFrame(r, &second); err != nil {
+		t.Fatal(err)
+	}
+	if string(first.Value) != "first value" || string(second.Value) != "SECOND VALUE" {
+		t.Fatalf("values %q, %q after reading both frames", first.Value, second.Value)
+	}
+	// An append to an aliased field reallocates instead of writing over
+	// the fields that follow it in the frame (here the value's tag,
+	// length and first bytes).
+	_ = append(first.Key, "XXXXXXXX"...)
+	if string(first.Value) != "first value" {
+		t.Fatalf("append to Key overwrote Value: %q", first.Value)
+	}
+}
+
 // TestEncoderRejectsOversize keeps the frame-size guard.
 func TestEncoderRejectsOversize(t *testing.T) {
 	enc := NewEncoder()
@@ -361,6 +480,34 @@ func BenchmarkSignWriteFramePooled(b *testing.B) {
 		m.Seq = uint64(i)
 		if err := enc.WriteFrame(io.Discard, m, key); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireRoundTrip1MiB measures one 1 MiB PUT through the whole
+// wire path: sign and frame it, read the frame back and verify its
+// HMAC. The buffer write stands in for the transport's one copy.
+func BenchmarkWireRoundTrip1MiB(b *testing.B) {
+	key := []byte("bench-secret-key")
+	enc := NewEncoder()
+	m := &Message{Type: TPut, Seq: 1, User: "u", Key: []byte("object/key"),
+		Value: make([]byte, 1<<20), NewVersion: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	var buf bytes.Buffer
+	r := bufio.NewReaderSize(&buf, 64<<10)
+	b.SetBytes(int64(len(m.Value)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := enc.WriteFrame(&buf, m, key); err != nil {
+			b.Fatal(err)
+		}
+		r.Reset(&buf)
+		var got Message
+		if err := ReadFrame(r, &got); err != nil {
+			b.Fatal(err)
+		}
+		if !got.Verify(key) {
+			b.Fatal("round-tripped frame fails verification")
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
+	"net/http"
 	"sort"
 	"sync"
 	"testing"
@@ -159,6 +160,66 @@ func TestClusterFullWorkloadThroughRouter(t *testing.T) {
 	// Steady state needs no redirects.
 	if got := r.Stats().Redirects.Load(); got != 0 {
 		t.Errorf("%d redirects in a handoff-free run", got)
+	}
+}
+
+// TestWrongShardCodeOnV1AndV2: a controller asked about a key it does
+// not own answers 421 with the wrong_shard code on every object call,
+// v1 and v2 alike — the code is what the router redirects on.
+func TestWrongShardCodeOnV1AndV2(t *testing.T) {
+	mc, err := StartMulti(2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	ctx := context.Background()
+
+	// A key shard 0 owns, asked of shard 1's controller.
+	m := mc.Map()
+	var key string
+	for i := 0; ; i++ {
+		key = fmt.Sprintf("obj/%d", i)
+		if s, err := m.OwnerOf(key); err == nil && s.ID == 0 {
+			break
+		}
+	}
+	cl, _, err := mc.Node(m.ShardByID(1).Endpoint).NewClient("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// codeOf reads the code of a 421 answer; anything else is a failure.
+	codeOf := func(err error) string {
+		var apiErr *client.APIError
+		if errors.As(err, &apiErr) && apiErr.Status == http.StatusMisdirectedRequest {
+			return apiErr.Code
+		}
+		return fmt.Sprint(err)
+	}
+	// opCode reads a v2 mutation's code: the OpResult carries it.
+	opCode := func(res client.OpResult, err error) string {
+		if err == nil && res.Err != nil {
+			return res.Err.Code
+		}
+		return codeOf(err)
+	}
+	calls := map[string]func() string{
+		"v1 GET":    func() string { _, _, err := cl.Get(ctx, key, client.GetOptions{}); return codeOf(err) },
+		"v1 PUT":    func() string { _, err := cl.Put(ctx, key, []byte("v"), client.PutOptions{}); return codeOf(err) },
+		"v1 DELETE": func() string { _, err := cl.Delete(ctx, key, false); return codeOf(err) },
+		"v2 GET": func() string {
+			body, _, err := cl.GetStream(ctx, key, client.GetOptions{})
+			if err == nil {
+				body.Close()
+			}
+			return codeOf(err)
+		},
+		"v2 PUT":    func() string { return opCode(cl.PutOp(ctx, key, []byte("v"), client.PutOptions{})) },
+		"v2 DELETE": func() string { return opCode(cl.DeleteOp(ctx, key, false)) },
+	}
+	for name, call := range calls {
+		if got := call(); got != string(core.CodeWrongShard) {
+			t.Errorf("%s on a foreign key: got %q, want HTTP 421 [%s]", name, got, core.CodeWrongShard)
+		}
 	}
 }
 
