@@ -192,21 +192,6 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkFigBatchReplication regenerates the replication-engine
-// comparison (serial-singleton vs atomic batched-parallel writes).
-func BenchmarkFigBatchReplication(b *testing.B) {
-	s := microScale()
-	for i := 0; i < b.N; i++ {
-		t, err := bench.FigBatchReplication(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportPeak(b, t, "Batched IOP/s", "batched-IOPS")
-		reportPeak(b, t, "Serial IOP/s", "serial-IOPS")
-		reportPeak(b, t, "Speedup x", "speedup")
-	}
-}
-
 // BenchmarkFigScanWorkloadE regenerates the scan figure (YCSB
 // workload E short ranges over the v2 Scan API).
 func BenchmarkFigScanWorkloadE(b *testing.B) {
@@ -236,10 +221,10 @@ func BenchmarkFigClusterScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkFigGroupCommit regenerates the write-engine comparison
-// (serial vs per-op atomic batches vs cross-client group commit on
-// YCSB-A over the HDD model) and emits BENCH_write.json, which the CI
-// bench-smoke job uploads as an artifact.
+// BenchmarkFigGroupCommit regenerates the group-commit figure
+// (cross-client group commit on YCSB-A over the HDD model) and emits
+// BENCH_write.json, which the CI bench-smoke job uploads as an
+// artifact.
 func BenchmarkFigGroupCommit(b *testing.B) {
 	s := microScale()
 	for i := 0; i < b.N; i++ {
@@ -248,17 +233,24 @@ func BenchmarkFigGroupCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 		reportPeak(b, t, "Group IOP/s", "group-IOPS")
-		reportPeak(b, t, "PerOp IOP/s", "perop-IOPS")
-		reportPeak(b, t, "Group/PerOp x", "speedup")
 		if err := bench.WriteBenchWriteJSON("BENCH_write.json", t); err != nil {
 			b.Fatal(err)
+		}
+		// 1.5x the per-op batch engine's 1379 IOP/s recorded at 32
+		// clients in the checked-in BENCH_write.json (group commit
+		// recorded 3750 there).
+		idx := t.Col("Group IOP/s")
+		for _, r := range t.Rows {
+			if r.X == "32" && r.Values[idx] < 2070 {
+				b.Fatalf("group commit at 32 clients: %.0f IOP/s < 2070", r.Values[idx])
+			}
 		}
 	}
 }
 
-// BenchmarkFigPolicy regenerates the policy fast-path comparison
-// (interpreter vs rule indexing vs session-bind partial evaluation,
-// per-op evaluator cost plus policy-filtered YCSB-E scans) and emits
+// BenchmarkFigPolicy regenerates the policy figure (per-op cost of
+// the interpreter, rule indexing and session-bind partial evaluation,
+// plus policy-filtered YCSB-E scans on the controller) and emits
 // BENCH_policy.json, which the CI bench-smoke job uploads as an
 // artifact.
 func BenchmarkFigPolicy(b *testing.B) {
@@ -456,9 +448,9 @@ func TestBatchWritePathAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkFigHedgedReads regenerates the hedged-read comparison
-// (all-replica fan-out vs latency-aware primary-first hedging on a
-// cache-hostile read-only workload).
+// BenchmarkFigHedgedReads regenerates the hedged-read figure
+// (latency-aware primary-first hedging on a cache-hostile read-only
+// workload, all replicas healthy and with one slow replica).
 func BenchmarkFigHedgedReads(b *testing.B) {
 	s := microScale()
 	for i := 0; i < b.N; i++ {
@@ -467,8 +459,13 @@ func BenchmarkFigHedgedReads(b *testing.B) {
 			b.Fatal(err)
 		}
 		idx := t.Col("Hedged gets/read")
-		fidx := t.Col("Fanout gets/read")
 		b.ReportMetric(t.Rows[0].Values[idx], "hedged-gets-per-read")
-		b.ReportMetric(t.Rows[0].Values[fidx], "fanout-gets-per-read")
+		// Half the all-replica fan-out's 4.27 gets/read recorded in the
+		// checked-in BENCH_read.json (hedged recorded 1.43 and 1.40).
+		for _, r := range t.Rows {
+			if r.Values[idx] > 2.13 {
+				b.Fatalf("%s: hedged reads occupy %.2f drive GETs per read > 2.13", r.X, r.Values[idx])
+			}
+		}
 	}
 }

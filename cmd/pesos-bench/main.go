@@ -10,15 +10,16 @@
 // Figures: 3 (throughput vs clients), 4 (latency vs clients),
 // 5 (disk scaling), 6 (payload size), enc (§6.2 encryption overhead),
 // 7 (replication), 8 (policy cache), 9 (versioned store), 10 (MAL),
-// ablation (security-layer cost), repl (serial vs batched-parallel
-// replication engines), scan (YCSB-E short ranges over the v2 Scan
-// API), hedge (fan-out vs hedged cache-miss reads; also emits
-// machine-readable BENCH_read.json with the wire hot-path
-// micro-benchmarks), cluster (keyspace scale-out across 1/2/4
-// controllers through the cluster router; emits BENCH_cluster.json),
-// gcommit (serial vs per-op batch vs cross-client group commit on
-// YCSB-A over the HDD model at 1/8/32/128 clients; emits
-// BENCH_write.json with the batch wire-path micro-benchmarks),
+// ablation (security-layer cost), scan (YCSB-E short ranges over the
+// v2 Scan API), hedge (hedged cache-miss reads, healthy and with one
+// slow replica; also emits machine-readable BENCH_read.json with the
+// wire hot-path micro-benchmarks), cluster (keyspace scale-out across
+// 1/2/4 controllers through the cluster router; emits
+// BENCH_cluster.json),
+// gcommit (cross-client group commit on YCSB-A over the HDD model at
+// 1/8/32/128 clients; emits BENCH_write.json with the batch wire-path
+// micro-benchmarks), policy (per-op policy evaluator cost and
+// policy-filtered YCSB-E scans; emits BENCH_policy.json),
 // failover (controller kill under load with a hot standby taking
 // over; emits BENCH_ha.json with the recovery timeline), chaos
 // (phased drive-fault injection — baseline, drive kill, partition and
@@ -43,7 +44,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6,enc,7,8,9,10,ablation,repl,scan,hedge,cluster,gcommit,policy,failover,chaos,obs,ec or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6,enc,7,8,9,10,ablation,scan,hedge,cluster,gcommit,policy,failover,chaos,obs,ec or all")
 	paper := flag.Bool("paper", false, "use the paper's full experiment scale (minutes per figure)")
 	jsonOut := flag.String("json", "BENCH_read.json", "path for the hedge figure's machine-readable output (empty disables)")
 	clusterJSON := flag.String("cluster-json", "BENCH_cluster.json", "path for the cluster figure's machine-readable output (empty disables)")
@@ -75,7 +76,6 @@ func main() {
 		{"9", bench.Fig9Versioned},
 		{"10", bench.Fig10MAL},
 		{"ablation", bench.Ablation},
-		{"repl", bench.FigBatchReplication},
 		{"scan", bench.FigScanWorkloadE},
 		{"hedge", bench.FigHedgedReads},
 		{"cluster", bench.FigClusterScaling},

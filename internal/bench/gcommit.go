@@ -16,11 +16,9 @@ import (
 )
 
 // gcommitReplicas is the replication factor of the group-commit
-// figure: one copy, so the comparison isolates the write scheduler
-// against a single medium — the serial column still pays 2 round
-// trips and 2 positionings per write where the batched engines pay
-// one. (Replicated write fan-out is FigBatchReplication's axis; group
-// commit composes with it through the generation scheduler.)
+// figure: one copy, so the figure isolates the write scheduler on a
+// single medium. (Group commit composes with replicated writes
+// through the generation scheduler.)
 const gcommitReplicas = 1
 
 // defaultGroupCommitClients is the figure's client sweep when the
@@ -29,14 +27,11 @@ var defaultGroupCommitClients = []int{1, 8, 32, 128}
 
 // FigGroupCommit measures the cross-client group committer: YCSB-A
 // over the HDD model — where positioning time caps a drive near
-// 1 kIOP/s — replayed by an increasing number of closed-loop clients
-// under three write engines: the serial-singleton baseline (2 round
-// trips × replicas per write), per-op atomic batches (PR 1: one batch
-// per replica per write), and group commit (concurrent clients'
-// writes merged into shared grouped batches, one amortized media wait
-// for many writers). The headline property: group-commit throughput
-// scales with ops-per-media-wait once clients pile up, while the
-// 1-client p99 stays at per-op latency because an idle drive commits
+// 1 kIOP/s — replayed by an increasing number of closed-loop clients.
+// Concurrent clients' writes merge into shared grouped batches, one
+// amortized media wait for many writers, so throughput scales with
+// ops-per-media-wait once clients pile up, while the 1-client p99
+// stays at single-write latency because an idle drive commits
 // immediately.
 func FigGroupCommit(s Scale) (*Table, error) {
 	steps := s.GroupCommitClients
@@ -44,58 +39,32 @@ func FigGroupCommit(s Scale) (*Table, error) {
 		steps = defaultGroupCommitClients
 	}
 	t := &Table{
-		Name:   "GroupCommit",
-		Title:  fmt.Sprintf("Write engines under concurrency (YCSB-A, HDD model, %d drive)", gcommitReplicas),
-		XLabel: "clients",
-		Columns: []string{"Serial IOP/s", "PerOp IOP/s", "Group IOP/s",
-			"Group/PerOp x", "PerOp p99 ms", "Group p99 ms"},
+		Name:    "GroupCommit",
+		Title:   fmt.Sprintf("Group commit under concurrency (YCSB-A, HDD model, %d drive)", gcommitReplicas),
+		XLabel:  "clients",
+		Columns: []string{"Group IOP/s", "Group p99 ms"},
 	}
 	for _, nc := range steps {
-		serial, err := runGroupCommitYCSB(s, nc, "serial")
+		group, err := runGroupCommitYCSB(s, nc)
 		if err != nil {
-			return nil, fmt.Errorf("gcommit serial c=%d: %w", nc, err)
-		}
-		perop, err := runGroupCommitYCSB(s, nc, "perop")
-		if err != nil {
-			return nil, fmt.Errorf("gcommit perop c=%d: %w", nc, err)
-		}
-		group, err := runGroupCommitYCSB(s, nc, "group")
-		if err != nil {
-			return nil, fmt.Errorf("gcommit group c=%d: %w", nc, err)
-		}
-		speedup := 0.0
-		if perop.KIOPS > 0 {
-			speedup = group.KIOPS / perop.KIOPS
+			return nil, fmt.Errorf("gcommit c=%d: %w", nc, err)
 		}
 		t.Rows = append(t.Rows, Row{X: fmt.Sprint(nc), Values: []float64{
-			serial.KIOPS * 1000, perop.KIOPS * 1000, group.KIOPS * 1000,
-			speedup,
-			float64(perop.P99) / float64(time.Millisecond),
+			group.KIOPS * 1000,
 			float64(group.P99) / float64(time.Millisecond),
 		}})
 	}
 	return t, nil
 }
 
-// runGroupCommitYCSB replays YCSB-A at the given concurrency with one
-// of the three write engines.
-func runGroupCommitYCSB(s Scale, clients int, engine string) (*Metrics, error) {
-	opts := testbed.Options{
+// runGroupCommitYCSB replays YCSB-A at the given concurrency.
+func runGroupCommitYCSB(s Scale, clients int) (*Metrics, error) {
+	cluster, err := testbed.Start(testbed.Options{
 		Drives:   gcommitReplicas,
 		Replicas: gcommitReplicas,
 		Enclave:  true,
 		Media:    func(int) kinetic.MediaModel { return kinetic.NewHDDMedia(1.0) },
-	}
-	switch engine {
-	case "serial":
-		opts.SerialReplication = true
-	case "perop":
-		opts.NoGroupCommit = true
-	case "group":
-	default:
-		return nil, fmt.Errorf("unknown write engine %q", engine)
-	}
-	cluster, err := testbed.Start(opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -106,11 +75,11 @@ func runGroupCommitYCSB(s Scale, clients int, engine string) (*Metrics, error) {
 	}
 	// 8× the usual disk-figure keyspace: YCSB-A's zipfian hot key
 	// takes ~14% of all updates over a few hundred records, and that
-	// key's serial CAS chain — not the write engines under test —
-	// becomes the critical path of every configuration. A larger
-	// keyspace (still far below the paper's 100,000 records) keeps the
-	// figure measuring media scheduling rather than single-key
-	// ordering, which no engine may reorder.
+	// key's serial CAS chain — not the write scheduler under test —
+	// becomes the critical path. A larger keyspace (still far below
+	// the paper's 100,000 records) keeps the figure measuring media
+	// scheduling rather than single-key ordering, which no scheduler
+	// may reorder.
 	keys, ops, err := ycsb.Generate(ycsb.Config{
 		Workload:       ycsb.WorkloadA,
 		RecordCount:    8 * s.DiskRecordCount,
@@ -132,7 +101,7 @@ func runGroupCommitYCSB(s Scale, clients int, engine string) (*Metrics, error) {
 	// Median of three replays over the same loaded cluster: closed-loop
 	// runs on a contended host swing with goroutine-scheduling luck
 	// (the zipfian hot-key chain is latency-bound), and a single
-	// sample can misstate a multiple-of-throughput comparison.
+	// sample can misstate the throughput.
 	var runs []*Metrics
 	for i := 0; i < 3; i++ {
 		m, err := d.Replay(ReplayConfig{Ops: ops, ValueSize: 1024})

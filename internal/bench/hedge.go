@@ -15,42 +15,34 @@ import (
 )
 
 // hedgeReplicas is the replication factor of the hedged-read figure:
-// enough copies that fan-out occupancy visibly multiplies.
+// enough copies that reading all of them would visibly multiply media
+// occupancy.
 const hedgeReplicas = 3
 
-// FigHedgedReads measures the cache-miss read-path rebuild: the
-// all-replica fan-out baseline (every read occupies every replica's
-// media) against the latency-aware hedged engine (the fastest replica
-// first, a hedge only after an adaptive delay). The workload is
-// read-only (YCSB-C) over the HDD model with the controller caches
-// shrunk to nothing, so every read pays the drive round trips the
-// engines differ on. Two scenarios: all replicas healthy, and one
-// replica with 10x positioning time — the hedge must cover the slow
-// replica's tail (reads keep completing at healthy-replica speed,
-// hedges fire) while still occupying a fraction of the fan-out's
-// media.
+// FigHedgedReads measures the cache-miss read path: the latency-aware
+// hedged engine asks the fastest replica first and hedges only after
+// an adaptive delay. The workload is read-only (YCSB-C) over the HDD
+// model with the controller caches shrunk to nothing, so every read
+// pays its drive round trips. Two scenarios: all replicas healthy,
+// and one replica with 10x positioning time — the hedge must cover
+// the slow replica's tail (reads keep completing at healthy-replica
+// speed, hedges fire) while occupying about one replica's media per
+// read.
 func FigHedgedReads(s Scale) (*Table, error) {
 	t := &Table{
-		Name:   "Hedge",
-		Title:  fmt.Sprintf("Fan-out vs hedged cache-miss reads (HDD model, %d replicas, read-only, %d clients)", hedgeReplicas, s.Clients),
-		XLabel: "scenario",
-		Columns: []string{"Fanout gets/read", "Hedged gets/read", "Fanout p99 ms",
-			"Hedged p99 ms", "Hedges fired"},
+		Name:    "Hedge",
+		Title:   fmt.Sprintf("Hedged cache-miss reads (HDD model, %d replicas, read-only, %d clients)", hedgeReplicas, s.Clients),
+		XLabel:  "scenario",
+		Columns: []string{"Hedged gets/read", "Hedged p99 ms", "Hedges fired"},
 	}
 	for _, scen := range []string{"healthy", "slow-replica"} {
-		slow := scen == "slow-replica"
-		fm, fOcc, _, err := runHedgeReads(s, slow, true)
+		m, occ, hedges, err := runHedgeReads(s, scen == "slow-replica")
 		if err != nil {
-			return nil, fmt.Errorf("hedge fanout %s: %w", scen, err)
-		}
-		hm, hOcc, hedges, err := runHedgeReads(s, slow, false)
-		if err != nil {
-			return nil, fmt.Errorf("hedge hedged %s: %w", scen, err)
+			return nil, fmt.Errorf("hedge %s: %w", scen, err)
 		}
 		t.Rows = append(t.Rows, Row{X: scen, Values: []float64{
-			fOcc, hOcc,
-			float64(fm.P99) / float64(time.Millisecond),
-			float64(hm.P99) / float64(time.Millisecond),
+			occ,
+			float64(m.P99) / float64(time.Millisecond),
 			float64(hedges),
 		}})
 	}
@@ -58,10 +50,10 @@ func FigHedgedReads(s Scale) (*Table, error) {
 }
 
 // runHedgeReads replays a read-only trace against a cache-hostile
-// replicated HDD cluster with the selected read engine, returning the
-// replay metrics, the media occupancy (drive GETs per trace read) and
-// the number of hedges fired.
-func runHedgeReads(s Scale, slowReplica, fanout bool) (*Metrics, float64, uint64, error) {
+// replicated HDD cluster, returning the replay metrics, the media
+// occupancy (drive GETs per trace read) and the number of hedges
+// fired.
+func runHedgeReads(s Scale, slowReplica bool) (*Metrics, float64, uint64, error) {
 	media := func(i int) kinetic.MediaModel {
 		if slowReplica && i == 0 {
 			return &kinetic.HDDMedia{
@@ -74,11 +66,10 @@ func runHedgeReads(s Scale, slowReplica, fanout bool) (*Metrics, float64, uint64
 		return kinetic.NewHDDMedia(1.0)
 	}
 	cluster, err := testbed.Start(testbed.Options{
-		Drives:      hedgeReplicas,
-		Replicas:    hedgeReplicas,
-		Enclave:     true,
-		FanoutReads: fanout,
-		Media:       media,
+		Drives:   hedgeReplicas,
+		Replicas: hedgeReplicas,
+		Enclave:  true,
+		Media:    media,
 		// Cache-hostile: a 1-byte budget evicts everything on insert,
 		// so every read is a miss and hits the drives.
 		ObjectCacheBytes: 1,
@@ -173,9 +164,8 @@ func wireBench(pooled bool) WireStat {
 	}
 }
 
-// BenchReadJSON is the machine-readable result trajectory of the
-// read-path optimization PR: the hedged-vs-fan-out figure plus the
-// wire hot-path micro-benchmarks.
+// BenchReadJSON is the machine-readable result of the hedged-read
+// figure plus the wire hot-path micro-benchmarks.
 type BenchReadJSON struct {
 	Figure  string              `json:"figure"`
 	Title   string              `json:"title"`

@@ -23,8 +23,8 @@ const policyDistractors = 24
 // policyBenchSource builds the figure's read policy: one versioned
 // clause per foreign principal, then an open versioned clause any
 // authenticated session satisfies. Every clause needs the drive
-// (currVersion), so the static decision cache cannot answer and each
-// check exercises the evaluator the figure compares.
+// (currVersion), so no check is decided by the session alone and each
+// one runs the evaluator the figure measures.
 func policyBenchSource() string {
 	src := "read :- "
 	for i := 0; i < policyDistractors; i++ {
@@ -110,45 +110,35 @@ func policyMicroBench(mode string) PolicyStat {
 	}
 }
 
-// policyModes are the figure's three configurations, slowest first.
-var policyModes = []struct {
-	name string
-	opts testbed.Options
-}{
-	{"interpreter", testbed.Options{NoPolicyPartialEval: true}},
-	{"indexed", testbed.Options{PolicyIndexedOnly: true}},
-	{"partial", testbed.Options{}},
-}
-
-// FigPolicy measures the policy fast path: per-operation evaluator
-// micro-benchmarks plus a policy-filtered YCSB-E scan workload where
-// every stored object carries the multi-principal policy, under the
-// interpreter baseline, rule indexing alone, and session-bind partial
-// evaluation with page-level residual reuse.
+// FigPolicy measures the policy engine: per-operation micro-benchmarks
+// of the clause interpreter, rule indexing and session-bind partial
+// evaluation (the engine the controller runs), plus a policy-filtered
+// YCSB-E scan workload on the controller, where every stored object
+// carries the multi-principal policy and scan pages reuse residuals.
 func FigPolicy(s Scale) (*Table, error) {
 	t := &Table{
 		Name: "Policy",
-		Title: fmt.Sprintf("Policy fast path (YCSB-E scans, %d-principal policy, %d clients)",
+		Title: fmt.Sprintf("Policy engine (YCSB-E scans, %d-principal policy, %d clients)",
 			policyDistractors+1, s.Clients),
-		XLabel: "mode",
-		Columns: []string{"Scan kIOP/s", "Scan mean ms", "Eval ns/op",
-			"Evals", "Residual hits", "Skipped clauses"},
+		XLabel: "engine",
+		Columns: []string{"Interpreter ns/op", "Indexed ns/op", "Partial ns/op",
+			"Scan kIOP/s", "Scan mean ms", "Evals", "Residual hits", "Skipped clauses"},
 	}
-	for _, mode := range policyModes {
-		micro := policyMicroBench(mode.name)
-		m, st, err := runPolicyScanE(mode.opts, s)
-		if err != nil {
-			return nil, fmt.Errorf("policy %s: %w", mode.name, err)
-		}
-		t.Rows = append(t.Rows, Row{X: mode.name, Values: []float64{
-			m.KIOPS,
-			float64(m.Mean) / float64(time.Millisecond),
-			micro.NsPerOp,
-			float64(st.PolicyEvals),
-			float64(st.ResidualHits),
-			float64(st.IndexSkippedClauses),
-		}})
+	var micro []float64
+	for _, mode := range []string{"interpreter", "indexed", "partial"} {
+		micro = append(micro, policyMicroBench(mode).NsPerOp)
 	}
+	m, st, err := runPolicyScanE(s)
+	if err != nil {
+		return nil, fmt.Errorf("policy scan: %w", err)
+	}
+	t.Rows = append(t.Rows, Row{X: "partial", Values: append(micro,
+		m.KIOPS,
+		float64(m.Mean)/float64(time.Millisecond),
+		float64(st.PolicyEvals),
+		float64(st.ResidualHits),
+		float64(st.IndexSkippedClauses),
+	)})
 	return t, nil
 }
 
@@ -161,11 +151,10 @@ type policyScanStats struct {
 
 // runPolicyScanE loads a keyspace whose every object carries the
 // multi-principal policy and replays a workload E trace (95 % short
-// scans): each scanned key pays a PermRead policy check, so the scan
-// filter loop is where the three evaluator modes separate.
-func runPolicyScanE(opts testbed.Options, s Scale) (*Metrics, *policyScanStats, error) {
-	opts.Drives, opts.Replicas, opts.Enclave = 2, 2, true
-	cluster, err := testbed.Start(opts)
+// scans): each scanned key pays a PermRead policy check in the scan
+// filter loop.
+func runPolicyScanE(s Scale) (*Metrics, *policyScanStats, error) {
+	cluster, err := testbed.Start(testbed.Options{Drives: 2, Replicas: 2, Enclave: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -207,9 +196,9 @@ func runPolicyScanE(opts testbed.Options, s Scale) (*Metrics, *policyScanStats, 
 	}, nil
 }
 
-// BenchPolicyJSON is the machine-readable result trajectory of the
-// policy fast-path PR: the figure rows plus the per-op evaluator
-// micro-benchmarks and the headline interpreter-to-partial speedup.
+// BenchPolicyJSON is the machine-readable result of the policy figure:
+// the figure rows plus the per-op evaluator micro-benchmarks and the
+// headline interpreter-to-partial speedup.
 type BenchPolicyJSON struct {
 	Figure  string                `json:"figure"`
 	Title   string                `json:"title"`

@@ -1,65 +1,20 @@
 package bench
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/kinetic"
 	"repro/internal/testbed"
 	"repro/internal/ycsb"
 )
 
-// FigBatchReplication measures the replication engine rebuild: the
-// seed's serial-singleton write path (2 round trips and 2 media
-// positionings per replica, replicas visited in sequence) against the
-// atomic batched-parallel engine (1 batch per replica, all replicas
-// concurrent, one amortized media wait). The workload is write-only so
-// the comparison isolates the write path, and drives run the simulated
-// HDD model, where positioning time dominates — exactly the regime the
-// batching is for. Columns report throughput in IOP/s, mean latency,
-// and the batched/serial speedup.
-func FigBatchReplication(s Scale) (*Table, error) {
-	t := &Table{
-		Name: "Replication", Title: fmt.Sprintf("Serial-singleton vs batched-parallel replication (HDD model, writes, %d clients)", s.Clients),
-		XLabel: "replicas",
-		Columns: []string{"Serial IOP/s", "Batched IOP/s", "Serial mean ms",
-			"Batched mean ms", "Speedup x"},
-	}
-	for _, nd := range s.ReplicationDisks {
-		if nd < 2 {
-			continue // replication needs at least two copies
-		}
-		serial, err := runReplicationWrites(s, nd, true)
-		if err != nil {
-			return nil, fmt.Errorf("repl serial r=%d: %w", nd, err)
-		}
-		batched, err := runReplicationWrites(s, nd, false)
-		if err != nil {
-			return nil, fmt.Errorf("repl batched r=%d: %w", nd, err)
-		}
-		speedup := 0.0
-		if serial.KIOPS > 0 {
-			speedup = batched.KIOPS / serial.KIOPS
-		}
-		t.Rows = append(t.Rows, Row{X: fmt.Sprint(nd), Values: []float64{
-			serial.KIOPS * 1000, batched.KIOPS * 1000,
-			float64(serial.Mean) / float64(time.Millisecond),
-			float64(batched.Mean) / float64(time.Millisecond),
-			speedup,
-		}})
-	}
-	return t, nil
-}
-
 // runReplicationWrites replays a write-only trace against an
-// nReplicas-of-nReplicas HDD cluster with the selected write engine.
-func runReplicationWrites(s Scale, nReplicas int, serial bool) (*Metrics, error) {
+// nReplicas-of-nReplicas HDD cluster, where positioning time
+// dominates, so the replay isolates the replicated write path.
+func runReplicationWrites(s Scale, nReplicas int) (*Metrics, error) {
 	cluster, err := testbed.Start(testbed.Options{
-		Drives:            nReplicas,
-		Replicas:          nReplicas,
-		Enclave:           true,
-		SerialReplication: serial,
-		Media:             func(int) kinetic.MediaModel { return kinetic.NewHDDMedia(1.0) },
+		Drives:   nReplicas,
+		Replicas: nReplicas,
+		Enclave:  true,
+		Media:    func(int) kinetic.MediaModel { return kinetic.NewHDDMedia(1.0) },
 	})
 	if err != nil {
 		return nil, err

@@ -206,48 +206,3 @@ func (c *Controller) DriveHealth() []DriveHealth {
 	}
 	return out
 }
-
-// MarkDriveDead forces a drive into the dead state (operator action /
-// deterministic tests). The detector's revive path still applies: a
-// drive that answers probes ReviveAfter times in a row comes back.
-func (c *Controller) MarkDriveDead(name string) error {
-	return c.forceDriveState(name, DriveDead)
-}
-
-// MarkDriveLive forces a drive back to healthy, clearing its history.
-func (c *Controller) MarkDriveLive(name string) error {
-	return c.forceDriveState(name, DriveHealthy)
-}
-
-func (c *Controller) forceDriveState(name string, state DriveState) error {
-	det := c.detector
-	if det == nil {
-		return fmt.Errorf("core: no failure detector configured")
-	}
-	idx := -1
-	for i, p := range c.drives {
-		if p.name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("core: unknown drive %q", name)
-	}
-	det.mu.Lock()
-	st := &det.states[idx]
-	st.state, st.fails, st.successes, st.since = state, 0, 0, c.clock()
-	var mask uint64
-	for i := range det.states {
-		if det.states[i].state == DriveDead {
-			mask |= 1 << uint(i)
-		}
-	}
-	det.mu.Unlock()
-	c.deadMask.Store(mask)
-	if state == DriveDead {
-		c.stats.DriveDeaths.Inc()
-	}
-	c.kickSweeper()
-	return nil
-}

@@ -32,9 +32,7 @@ func newMediaHarness(t *testing.T, nDrives int, media func(i int) kinetic.MediaM
 	if _, err := rand.Read(secrets.AdminSeed[:]); err != nil {
 		t.Fatal(err)
 	}
-	// Group commit on, like newHarness and every shipped
-	// configuration; tests opt out via mutate.
-	cfg := Config{Replicas: 1, Encrypt: true, GroupCommit: true, TakeOver: true, Secrets: secrets}
+	cfg := Config{Replicas: 1, Encrypt: true, TakeOver: true, Secrets: secrets}
 	for i := 0; i < nDrives; i++ {
 		name := fmt.Sprintf("d%d", i)
 		var m kinetic.MediaModel
@@ -83,51 +81,40 @@ func driveGets(drives []*kinetic.Drive) uint64 {
 
 // TestHedgedReadsReduceMediaOccupancy is the acceptance pin for the
 // hedged read engine: on a read-heavy, cache-hostile workload with 3
-// replicas, the all-replica fan-out occupies every replica's media
-// per read while the hedged engine occupies ~one, without losing a
-// single read.
+// replicas, reading every replica would cost 6 drive GETs per read
+// (3 replicas × meta + record); the hedged engine occupies ~one
+// replica per record kind, without losing a single read.
 func TestHedgedReadsReduceMediaOccupancy(t *testing.T) {
 	const (
 		nKeys = 20
 		reads = 100
 	)
-	occupancy := func(fanout bool) float64 {
-		h := newMediaHarness(t, 3, nil, func(c *Config) {
-			c.Replicas = 3
-			c.FanoutReads = fanout
-			// Far above the in-memory RTT: hedges never fire, so the
-			// measurement isolates engine occupancy, not hedge noise.
-			c.HedgeDelay = 50 * time.Millisecond
-		})
-		s := h.ctl.Session("w")
-		ctx := context.Background()
-		for i := 0; i < nKeys; i++ {
-			if _, err := s.Put(ctx, fmt.Sprintf("k%d", i), []byte("v"), PutOptions{}); err != nil {
-				t.Fatal(err)
-			}
+	h := newMediaHarness(t, 3, nil, func(c *Config) {
+		c.Replicas = 3
+		// Far above the in-memory RTT: hedges never fire, so the
+		// measurement isolates engine occupancy, not hedge noise.
+		c.HedgeDelay = 50 * time.Millisecond
+	})
+	s := h.ctl.Session("w")
+	ctx := context.Background()
+	for i := 0; i < nKeys; i++ {
+		if _, err := s.Put(ctx, fmt.Sprintf("k%d", i), []byte("v"), PutOptions{}); err != nil {
+			t.Fatal(err)
 		}
-		before := driveGets(h.drives)
-		for i := 0; i < reads; i++ {
-			h.ctl.DropCaches() // cache-hostile: every read misses
-			val, _, err := s.Get(ctx, fmt.Sprintf("k%d", i%nKeys), GetOptions{})
-			if err != nil || !bytes.Equal(val, []byte("v")) {
-				t.Fatalf("read %d (fanout=%v): %q %v", i, fanout, val, err)
-			}
+	}
+	before := driveGets(h.drives)
+	for i := 0; i < reads; i++ {
+		h.ctl.DropCaches() // cache-hostile: every read misses
+		val, _, err := s.Get(ctx, fmt.Sprintf("k%d", i%nKeys), GetOptions{})
+		if err != nil || !bytes.Equal(val, []byte("v")) {
+			t.Fatalf("read %d: %q %v", i, val, err)
 		}
-		// Drive GETs per client read (each read = meta + record).
-		return float64(driveGets(h.drives)-before) / reads
 	}
-
-	fanout := occupancy(true)
-	hedged := occupancy(false)
-	t.Logf("media occupancy (drive GETs per read): fanout=%.2f hedged=%.2f", fanout, hedged)
-	// Fan-out touches all 3 replicas for both the meta and the record
-	// read (~6); hedged touches ~one replica for each (~2).
-	if fanout < 4 {
-		t.Errorf("fan-out occupancy %.2f implausibly low; measurement broken", fanout)
-	}
-	if hedged >= fanout/2 {
-		t.Errorf("hedged occupancy %.2f did not halve fan-out occupancy %.2f", hedged, fanout)
+	// Drive GETs per client read (each read = meta + record).
+	hedged := float64(driveGets(h.drives)-before) / reads
+	t.Logf("media occupancy (drive GETs per read): hedged=%.2f", hedged)
+	if hedged >= 3.0 {
+		t.Errorf("hedged occupancy %.2f, want < 3.0 (half of reading all 3 replicas)", hedged)
 	}
 }
 
@@ -382,62 +369,6 @@ func TestCoalescedMissesOneDriveRead(t *testing.T) {
 	}
 	if h.ctl.stats.Snapshot().CoalescedReads == 0 {
 		t.Error("no reads were coalesced")
-	}
-}
-
-// TestDecisionCacheFastPath: a session-static policy evaluates once
-// per (policy, client, op); repeat checks hit the decision cache for
-// both grants and denials, and non-static policies never populate it.
-func TestDecisionCacheFastPath(t *testing.T) {
-	h := newHarness(t, 1, nil)
-	ctx := context.Background()
-	alice, mallory := h.ctl.Session("aa"), h.ctl.Session("bb")
-
-	pid, err := h.ctl.PutPolicy(ctx, "read :- sessionKeyIs(k'aa')\nupdate :- sessionKeyIs(k'aa')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := alice.Put(ctx, "o", []byte("v"), PutOptions{PolicyID: pid}); err != nil {
-		t.Fatal(err)
-	}
-
-	const reads = 10
-	for i := 0; i < reads; i++ {
-		if _, _, err := alice.Get(ctx, "o", GetOptions{}); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-	}
-	st := h.ctl.stats.Snapshot()
-	if st.DecisionHits < reads-1 {
-		t.Errorf("decision hits %d, want >= %d (interpreter should run once)", st.DecisionHits, reads-1)
-	}
-
-	// Denials are memoized too, with the reason preserved.
-	for i := 0; i < 3; i++ {
-		_, _, err := mallory.Get(ctx, "o", GetOptions{})
-		var denied *DeniedError
-		if !errors.As(err, &denied) || denied.Reason == "" {
-			t.Fatalf("denial %d: %v", i, err)
-		}
-	}
-
-	// A version-dependent policy is not static: the decision cache
-	// must not serve it.
-	vpid, err := h.ctl.PutPolicy(ctx, "read :- sessionKeyIs(U)\nupdate :- currVersion(this, V) and nextVersion(V + 1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := alice.Put(ctx, "ver", []byte("v"), PutOptions{PolicyID: vpid}); err != nil {
-		t.Fatal(err)
-	}
-	hits0 := h.ctl.stats.Snapshot().DecisionHits
-	for want := int64(1); want <= 3; want++ {
-		if _, err := alice.Put(ctx, "ver", []byte("v"), PutOptions{Version: want, HasVersion: true}); err != nil {
-			t.Fatalf("versioned put %d: %v", want, err)
-		}
-	}
-	if hits1 := h.ctl.stats.Snapshot().DecisionHits; hits1 != hits0 {
-		t.Errorf("version-dependent policy took %d decision-cache hits", hits1-hits0)
 	}
 }
 

@@ -81,7 +81,6 @@ func (c *Controller) registerMetrics() {
 		{"pesos_policy_checks_total", "Policy checks performed.", &c.stats.PolicyChecks},
 		{"pesos_policy_denials_total", "Policy checks that denied the request.", &c.stats.PolicyDenials},
 		{"pesos_policy_evals_total", "Clause-machine runs (checks not decided statically).", &c.stats.PolicyEvals},
-		{"pesos_policy_decision_hits_total", "Policy checks served from the decision cache.", &c.stats.DecisionHits},
 		{"pesos_policy_residual_hits_total", "Checks served by a cached or page-reused residual.", &c.stats.ResidualHits},
 		{"pesos_policy_index_skipped_clauses_total", "Clauses pruned by the rule index or residuals.", &c.stats.IndexSkippedClauses},
 		{"pesos_tx_commits_total", "Transactions committed.", &c.stats.TxCommits},
@@ -105,7 +104,7 @@ func (c *Controller) registerMetrics() {
 		r.RegisterCounter(m.name, m.help, m.ctr)
 	}
 
-	for _, name := range []string{"policy", "object", "meta", "decision", "residual"} {
+	for _, name := range []string{"policy", "object", "meta", "residual"} {
 		name := name
 		for i, stat := range []string{"hits", "misses", "evictions"} {
 			i, stat := i, stat

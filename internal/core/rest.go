@@ -606,7 +606,6 @@ func (s *RESTServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"txCommits":           st.TxCommits, "txAborts": st.TxAborts,
 		"readHedges":      st.ReadHedges,
 		"coalescedReads":  st.CoalescedReads,
-		"decisionHits":    st.DecisionHits,
 		"wrongShard":      st.WrongShard,
 		"groupBatches":    st.GroupBatches,
 		"groupedWrites":   st.GroupedWrites,

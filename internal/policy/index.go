@@ -450,7 +450,7 @@ func EvalIndexed(prog *Program, req *Request, objects ObjectSource) (Decision, e
 	}
 	return Decision{Allowed: false, Clause: -1, Steps: ev.steps,
 		Skipped: len(clauses) - visited,
-		Reason: fmt.Sprintf("no %s clause satisfied", req.Op)}, nil
+		Reason:  fmt.Sprintf("no %s clause satisfied", req.Op)}, nil
 }
 
 // nextCandidate pops the smallest head of three ascending, disjoint

@@ -62,17 +62,17 @@ type residualClause struct {
 type foldResult int
 
 const (
-	foldKeep foldResult = iota // predicate survives into the residual
-	foldTrue                   // statically satisfied, no runtime error possible
-	foldFalse                  // statically refuted
+	foldKeep  foldResult = iota // predicate survives into the residual
+	foldTrue                    // statically satisfied, no runtime error possible
+	foldFalse                   // statically refuted
 )
 
 type clauseStatus int
 
 const (
 	clauseResidual clauseStatus = iota
-	clauseKilled                 // never succeeds, never errors: dropped
-	clauseTrue                   // always satisfied once reached
+	clauseKilled                // never succeeds, never errors: dropped
+	clauseTrue                  // always satisfied once reached
 )
 
 // PartialEval specializes prog's perm clauses to a session key. The
@@ -380,7 +380,7 @@ func (r *Residual) Eval(req *Request, objects ObjectSource) (Decision, error) {
 	}
 	return Decision{Allowed: false, Clause: -1, Steps: ev.steps,
 		Skipped: r.orig - visited,
-		Reason: fmt.Sprintf("no %s clause satisfied", r.perm)}, nil
+		Reason:  fmt.Sprintf("no %s clause satisfied", r.perm)}, nil
 }
 
 // Explain renders the residual as text, for policyc -explain.

@@ -150,12 +150,6 @@ type Program struct {
 	Consts []value.V
 	Perms  [lang.NumPerms][]CClause
 
-	// staticOnce/staticMask memoize StaticFor's per-permission
-	// classification (see analyze.go); compiled programs are immutable
-	// once published, so the mask is computed at most once.
-	staticOnce sync.Once
-	staticMask uint32
-
 	// indexOnce/index memoize the per-permission clause index (see
 	// index.go), built lazily on the first indexed evaluation.
 	indexOnce sync.Once

@@ -56,30 +56,6 @@ type Options struct {
 	PlaintextPayloads bool
 	// DisablePolicies turns enforcement off (baseline of §6.4).
 	DisablePolicies bool
-	// SerialReplication selects the legacy serial-singleton write path
-	// (the replication benchmark's baseline) instead of atomic batches
-	// fanned out to all replicas concurrently.
-	SerialReplication bool
-	// NoGroupCommit disables the per-drive cross-client group
-	// committer (the group-commit benchmark's per-op batch baseline).
-	// Group commit is on by default in every testbed deployment.
-	NoGroupCommit bool
-	// GroupCommitMaxDelay overrides the committer's gather window
-	// (0 = default; negative disables gathering).
-	GroupCommitMaxDelay time.Duration
-	// NoPolicyPartialEval disables the session-bind partial-eval
-	// policy fast path (the policy benchmark's interpreter baseline).
-	// Partial evaluation is on by default in every testbed deployment.
-	NoPolicyPartialEval bool
-	// PolicyIndexedOnly runs rule indexing without partial evaluation
-	// (the middle rung of the policy benchmark). Implies no residuals.
-	PolicyIndexedOnly bool
-	// FanoutReads selects the legacy all-replica first-wins read
-	// engine (the hedged-read benchmark's baseline) instead of
-	// latency-aware hedged reads.
-	FanoutReads bool
-	// HedgeDelay fixes the hedged engine's delay (0 = adaptive ~p95).
-	HedgeDelay time.Duration
 	// ObjectCacheBytes / KeyCacheBytes override the controller cache
 	// budgets (0 = paper defaults); benchmarks shrink them to force
 	// cache-hostile read workloads.
@@ -346,13 +322,6 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 		Replicas:             opts.Replicas,
 		Encrypt:              !opts.PlaintextPayloads,
 		DisablePolicies:      opts.DisablePolicies,
-		SerialReplication:    opts.SerialReplication,
-		GroupCommit:          !opts.NoGroupCommit,
-		GroupCommitMaxDelay:  opts.GroupCommitMaxDelay,
-		PolicyPartialEval:    !opts.NoPolicyPartialEval && !opts.PolicyIndexedOnly,
-		PolicyIndexedOnly:    opts.PolicyIndexedOnly,
-		FanoutReads:          opts.FanoutReads,
-		HedgeDelay:           opts.HedgeDelay,
 		TakeOver:             true,
 		PolicyCacheEntries:   opts.PolicyCacheEntries,
 		PolicyCacheBytes:     opts.PolicyCacheBytes,
