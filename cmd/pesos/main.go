@@ -432,7 +432,8 @@ func run(o runOpts) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: core.NewREST(ctl)}
+	rest := core.NewREST(ctl)
+	srv := &http.Server{Handler: rest, ConnContext: rest.ConnContext}
 	go func() {
 		// Session contexts expire after their TTL (§3.1); the sweeper
 		// stops with the root context.

@@ -291,9 +291,20 @@ func TestDeadReplicaLosesPrimarySlot(t *testing.T) {
 	}
 	dead := store.Placement(key, 2, 2)[0]
 	h.kill(dead)
+	placement := store.Placement(key, 2, 2)
+	pools := make([]*drivePool, len(placement))
+	for i, di := range placement {
+		pools[i] = h.ctl.drives[di]
+	}
 	// Pin the dead drive into the primary slot: feed it artificially
-	// fast samples so EWMA ordering alone would keep trying it first.
-	for i := 0; i < 8; i++ {
+	// fast samples until EWMA ordering alone would keep trying it
+	// first. A fixed number of samples is not enough: the drive's
+	// earlier samples can be slower than the healthy replica's by more
+	// than those samples decay.
+	for i := 0; orderByLatency(pools)[0] != h.ctl.drives[dead]; i++ {
+		if i == 200 {
+			t.Fatal("fast samples did not move the dead drive into the primary slot")
+		}
 		h.ctl.drives[dead].observe(time.Nanosecond)
 	}
 
@@ -309,11 +320,6 @@ func TestDeadReplicaLosesPrimarySlot(t *testing.T) {
 	}
 	if !h.ctl.drives[dead].failing() {
 		t.Fatal("dead drive not marked failing after transport errors")
-	}
-	placement := store.Placement(key, 2, 2)
-	pools := make([]*drivePool, len(placement))
-	for i, di := range placement {
-		pools[i] = h.ctl.drives[di]
 	}
 	if order := orderByLatency(pools); order[0] == h.ctl.drives[dead] {
 		t.Error("dead drive kept the primary slot; every read pays the hedge delay")

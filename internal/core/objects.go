@@ -517,7 +517,7 @@ func (c *Controller) checkPolicyCtx(ctx context.Context, pe *policyEval, op lang
 		return err
 	}
 	req := buildPolicyRequest(pe, op, key, sessionKey, nextVersion, certs, c.clock())
-	dec, evalErr := res.Eval(req, &objectSource{c: c, ctx: sctx})
+	dec, evalErr := res.Eval(req, &objectSource{c: c, ctx: sctx, key: key, meta: meta})
 	_, decided := res.Decided()
 	c.stats.PolicyChecks.Inc()
 	if reused {
@@ -599,20 +599,28 @@ func residualKey(policyID string, op lang.Perm, sessionKey string) string {
 // objectSource adapts the controller's loaders to the interpreter's
 // view of stored objects. Lookups go through the same caches as
 // client requests, which is what makes content-based policies
-// affordable (§4.2).
+// affordable (§4.2). The checked object itself ("this") is answered
+// from the metadata the check was given, so a policy reading it never
+// loads that metadata a second time.
 type objectSource struct {
-	c   *Controller
-	ctx context.Context
+	c    *Controller
+	ctx  context.Context
+	key  string
+	meta *store.Meta
 }
 
 // Info implements policy.ObjectSource.
 func (o *objectSource) Info(id string) (policy.ObjectInfo, bool, error) {
-	meta, err := o.c.loadMeta(o.ctx, id)
-	if errors.Is(err, ErrNotFound) {
-		return policy.ObjectInfo{}, false, nil
-	}
-	if err != nil {
-		return policy.ObjectInfo{}, false, err
+	meta := o.meta
+	if id != o.key || meta == nil {
+		var err error
+		meta, err = o.c.loadMeta(o.ctx, id)
+		if errors.Is(err, ErrNotFound) {
+			return policy.ObjectInfo{}, false, nil
+		}
+		if err != nil {
+			return policy.ObjectInfo{}, false, err
+		}
 	}
 	return policy.ObjectInfo{
 		ID:         id,

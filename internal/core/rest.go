@@ -1,14 +1,17 @@
 package core
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/authority"
@@ -164,10 +167,42 @@ func (s *RESTServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.WritePrometheus(w)
 }
 
+// connIdentity memoises one TLS connection's client identity: the
+// peer certificate is fixed for the connection's lifetime, so only the
+// connection's first request computes its fingerprint.
+type connIdentity struct {
+	once sync.Once
+	fp   string
+	err  error
+}
+
+type connIdentityKey struct{}
+
+// ConnContext installs an empty client-identity slot per connection.
+// Set it as the http.Server's ConnContext so that requests sharing a
+// connection share one fingerprint computation; without it every
+// request computes its own.
+func (s *RESTServer) ConnContext(ctx context.Context, _ net.Conn) context.Context {
+	return context.WithValue(ctx, connIdentityKey{}, &connIdentity{})
+}
+
+// clientFingerprint names the request's TLS client by the fingerprint
+// of its certificate's public key, from the connection's slot when
+// ConnContext installed one.
+func clientFingerprint(r *http.Request) (string, error) {
+	cert := r.TLS.PeerCertificates[0]
+	slot, ok := r.Context().Value(connIdentityKey{}).(*connIdentity)
+	if !ok {
+		return tlsutil.CertFingerprint(cert)
+	}
+	slot.once.Do(func() { slot.fp, slot.err = tlsutil.CertFingerprint(cert) })
+	return slot.fp, slot.err
+}
+
 // session authenticates the request and returns its session context.
 func (s *RESTServer) session(r *http.Request) (*Session, error) {
 	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
-		fp, err := tlsutil.CertFingerprint(r.TLS.PeerCertificates[0])
+		fp, err := clientFingerprint(r)
 		if err != nil {
 			return nil, err
 		}

@@ -19,9 +19,8 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/authority"
 	"repro/internal/policy/lang"
@@ -84,9 +83,9 @@ func (s *Session) Scan(ctx context.Context, opts ScanOptions) (*ScanPage, error)
 	return s.ctl.scanObjects(ctx, s.clientKey, opts)
 }
 
-// scanObjects serves one page. Per merged key the newest metadata is
-// fetched cache-first (the same loader as point reads, so hot listings
-// ride the key cache) and the object's policy decides visibility.
+// scanObjects serves one page. Each merged key's metadata comes from
+// the key cache or from the values the range read returned with it
+// (scanMeta), and the object's policy decides visibility.
 func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts ScanOptions) (*ScanPage, error) {
 	if strings.ContainsRune(opts.Prefix, 0) || strings.ContainsRune(opts.Start, 0) {
 		return nil, fmt.Errorf("%w: scan bounds must not contain NUL", ErrInvalidArgument)
@@ -139,32 +138,24 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 		if len(merged) == 0 && exhausted {
 			return page, nil
 		}
-		// Cheap filters first — the drive range's inclusive end can
-		// admit the first key past the prefix, and sharded controllers
-		// list only keys they own under the page's epoch snapshot
-		// (anything else is migration residue the router gets from its
-		// owner) — so residue never costs a metadata prefetch.
-		candidates := merged[:0]
-		for _, key := range merged {
+		// One policyEval for the whole page: the resolved residual and
+		// request scratch are reused across every candidate sharing a
+		// policy, so the filter loop pays zero policy compilation or
+		// cache lookups past the first key per policy.
+		pe := &policyEval{}
+		for _, sk := range merged {
+			key := sk.key
+			// The drive range's inclusive end can admit the first key
+			// past the prefix, and sharded controllers list only keys
+			// they own under the page's epoch snapshot (anything else is
+			// migration residue the router gets from its owner).
 			if !strings.HasPrefix(key, opts.Prefix) {
 				continue
 			}
 			if sharded && !RangesContain(ownedRanges, store.ShardHash(key)) {
 				continue
 			}
-			candidates = append(candidates, key)
-		}
-		// Warm the key cache for the whole candidate batch in parallel
-		// (bounded), so the serial filter loop below pays cache hits
-		// instead of one replica round trip per key.
-		c.prefetchMetas(ctx, candidates)
-		// One policyEval for the whole page: the resolved residual and
-		// request scratch are reused across every candidate sharing a
-		// policy, so the filter loop pays zero policy compilation or
-		// cache lookups past the first key per policy.
-		pe := &policyEval{}
-		for _, key := range candidates {
-			meta, err := c.loadMeta(ctx, key)
+			meta, err := c.scanMeta(ctx, sk)
 			if errors.Is(err, ErrNotFound) {
 				continue // deleted since the drives reported it
 			}
@@ -203,124 +194,128 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 	}
 }
 
-// scanRound asks every drive for its next batch of metadata keys in
-// [cursor, rangeEnd] and merges them. Because each drive truncates its
-// response independently, merged keys are only trustworthy up to the
+// scanKey is one merged listing key with the raw metadata values the
+// drives of its placement returned for it.
+type scanKey struct {
+	key  string
+	vals [][]byte
+}
+
+// scanRound asks every drive for its next batch of metadata records
+// in [cursor, rangeEnd], keys with values, and merges them. Because
+// each drive truncates its response independently (at the count or at
+// its byte budget), merged keys are only trustworthy up to the
 // smallest last-key among truncated drives (the completeness horizon);
 // keys beyond it are dropped and re-fetched next round. advance is the
 // horizon — the drive key up to which this round is complete — for the
 // caller's cursor. Up to Replicas-1 drive failures are tolerated:
 // every object then still has a surviving replica reporting it.
-func (c *Controller) scanRound(ctx context.Context, cursor []byte, inclusive bool, rangeEnd []byte, want int) (keys []string, advance []byte, exhausted bool, err error) {
+func (c *Controller) scanRound(ctx context.Context, cursor []byte, inclusive bool, rangeEnd []byte, want int) (keys []scanKey, advance []byte, exhausted bool, err error) {
 	fetch := want
 	if fetch > driveRangeCap {
 		fetch = driveRangeCap
 	}
-	type driveKeys struct {
-		di        int
-		keys      [][]byte
-		truncated bool
-		err       error
+	type driveRecords struct {
+		keys, vals [][]byte
+		truncated  bool
+		err        error
 	}
-	results := make([]driveKeys, len(c.drives))
+	results := make([]driveRecords, len(c.drives))
 	err = c.fanout(allDrives(len(c.drives)), func(di int) error {
 		cl := c.drives[di].pick()
 		c.chargeDriveIO(0)
-		ks, err := cl.GetKeyRange(ctx, cursor, rangeEnd, inclusive, false, fetch)
-		results[di] = driveKeys{di: di, keys: ks, truncated: len(ks) >= fetch, err: err}
+		ks, vs, budgetCut, err := cl.GetKeyRangeValues(ctx, cursor, rangeEnd, inclusive, fetch)
+		results[di] = driveRecords{keys: ks, vals: vs, truncated: budgetCut || len(ks) >= fetch, err: err}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, false, err
 	}
 
-	failures := 0
+	failures, reported := 0, 0
 	var lastErr error
 	var horizon []byte // smallest last-key among truncated drives
-	// The placement-sanity filter uses drive bitmasks; past 64 drives
-	// it is skipped (1<<65 would silently drop live keys) — dedup and
-	// the metadata load still keep the listing correct.
-	maskable := len(c.drives) <= 64
-	reporters := make(map[string]uint64)
 	for _, r := range results {
 		if r.err != nil {
 			failures++
 			lastErr = r.err
 			continue
 		}
-		if r.truncated {
+		reported += len(r.keys)
+		if r.truncated && len(r.keys) > 0 {
 			last := r.keys[len(r.keys)-1]
 			if horizon == nil || bytes.Compare(last, horizon) < 0 {
 				horizon = last
-			}
-		}
-		for _, dk := range r.keys {
-			if len(dk) < 2 {
-				continue
-			}
-			if maskable {
-				reporters[string(dk)] |= 1 << uint(r.di)
-			} else {
-				reporters[string(dk)] = 1
 			}
 		}
 	}
 	if failures > 0 && failures >= c.cfg.Replicas {
 		return nil, nil, false, fmt.Errorf("core: scan cannot guarantee coverage, %d drives failed: %w", failures, lastErr)
 	}
-	for dk, mask := range reporters {
-		if horizon != nil && bytes.Compare([]byte(dk), horizon) > 0 {
-			delete(reporters, dk) // beyond the completeness horizon
-			continue
-		}
-		key := dk[2:] // strip the metadata namespace prefix
-		// Placement sanity: a key reported only by drives outside its
-		// placement is a stale artifact (e.g. of a drive-set change),
-		// not a live object.
-		if maskable && mask&c.placementMask(key) == 0 {
-			delete(reporters, dk)
+	type record struct {
+		dk, val []byte
+		di      int
+	}
+	records := make([]record, 0, reported)
+	for di, r := range results {
+		for i, dk := range r.keys {
+			if len(dk) < 2 || horizon != nil && bytes.Compare(dk, horizon) > 0 {
+				continue // not a metadata key, or beyond the horizon
+			}
+			records = append(records, record{dk: dk, val: r.vals[i], di: di})
 		}
 	}
-	keys = make([]string, 0, len(reporters))
-	for dk := range reporters {
-		keys = append(keys, dk[2:])
+	slices.SortFunc(records, func(a, b record) int { return bytes.Compare(a.dk, b.dk) })
+
+	// One entry per distinct key. vals slices one shared backing array
+	// sized for every record, so it is never reallocated.
+	vals := make([][]byte, 0, len(records))
+	for i := 0; i < len(records); {
+		j := i + 1
+		for j < len(records) && bytes.Equal(records[j].dk, records[i].dk) {
+			j++
+		}
+		key := string(records[i].dk[2:]) // strip the metadata namespace prefix
+		// Placement sanity: only values from the key's placement count,
+		// and a key reported only by drives outside it is a stale
+		// artifact (e.g. of a drive-set change), not a live object.
+		placement := c.placement(key)
+		from := len(vals)
+		for _, r := range records[i:j] {
+			if slices.Contains(placement, r.di) {
+				vals = append(vals, r.val)
+			}
+		}
+		if len(vals) > from {
+			keys = append(keys, scanKey{key: key, vals: vals[from:len(vals):len(vals)]})
+		}
+		i = j
 	}
-	sort.Strings(keys)
 	return keys, horizon, horizon == nil, nil
 }
 
-// prefetchMetas loads candidate keys' metadata concurrently (bounded),
-// errors ignored — the caller's serial loop re-loads from cache and
-// handles failures per key.
-func (c *Controller) prefetchMetas(ctx context.Context, keys []string) {
-	if len(keys) < 2 {
-		return
+// scanMeta resolves a listed key's metadata: the key cache entry when
+// there is one (writes keep it current), else the newest version among
+// the values the key's placement replicas returned with the range
+// read, so a listing costs no drive round trip per key. Only when no
+// value decodes does it fall back to a metadata load. Range-read
+// metadata is never published to the key cache: writes and point
+// reads keep feeding it.
+func (c *Controller) scanMeta(ctx context.Context, sk scanKey) (*store.Meta, error) {
+	if m, ok := c.metaCache.Get(sk.key); ok {
+		return m, nil
 	}
-	sem := make(chan struct{}, batchParallelism(len(keys)))
-	var wg sync.WaitGroup
-	for _, key := range keys {
-		if _, ok := c.metaCache.Get(key); ok {
-			continue
+	var newest *store.Meta
+	for _, v := range sk.vals {
+		m, err := store.UnmarshalMeta(v)
+		if err == nil && m.Key == sk.key && (newest == nil || m.Version > newest.Version) {
+			newest = m
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(key string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			_, _ = c.loadMeta(ctx, key)
-		}(key)
 	}
-	wg.Wait()
-}
-
-// placementMask is the drive bitmask of a key's placement (dead-drive
-// substitution applied).
-func (c *Controller) placementMask(key string) uint64 {
-	var m uint64
-	for _, di := range c.placement(key) {
-		m |= 1 << uint(di)
+	if newest != nil {
+		return newest, nil
 	}
-	return m
+	return c.loadMeta(ctx, sk.key)
 }
 
 // allDrives enumerates every drive index (scans must consult all

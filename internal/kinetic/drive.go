@@ -286,6 +286,14 @@ func (d *Drive) handleGet(acct wire.ACL, req, resp *wire.Message) {
 		resp.Status = wire.StatusNotFound
 		return
 	}
+	resp.Key = req.Key
+	resp.Value = d.corruptRead(value)
+	resp.DBVersion = version
+}
+
+// corruptRead applies CorruptEveryN fault injection to one value a
+// read returns, counting every non-empty value toward the trip.
+func (d *Drive) corruptRead(value []byte) []byte {
 	if fs := d.faults.Load(); fs != nil && fs.cfg.CorruptEveryN > 0 && len(value) > 0 {
 		if fs.gets.Add(1)%fs.cfg.CorruptEveryN == 0 {
 			// Corrupt a copy, never the store: the injected damage must
@@ -295,9 +303,7 @@ func (d *Drive) handleGet(acct wire.ACL, req, resp *wire.Message) {
 			fs.corrupted.Add(1)
 		}
 	}
-	resp.Key = req.Key
-	resp.Value = value
-	resp.DBVersion = version
+	return value
 }
 
 // checkPutCAS validates a put's compare-and-swap precondition against
@@ -569,8 +575,19 @@ func (d *Drive) handleGroupedBatch(acct wire.ACL, req, resp *wire.Message) {
 	}
 }
 
+// rangeValueBudget caps the key and value bytes one range read with
+// values returns, keeping its response frame well inside
+// wire.MaxMessageSize. The budget never cuts a response to zero
+// entries: a scan must always make progress.
+const rangeValueBudget = wire.MaxMessageSize / 2
+
+// handleRange lists keys in a range. A request with WithValues also
+// returns each key's stored value, needing the READ permission on top
+// of RANGE; it stops at rangeValueBudget bytes and then marks the
+// response Truncated, so the caller resumes past its last key.
 func (d *Drive) handleRange(acct wire.ACL, req, resp *wire.Message) {
-	if !permitted(acct, wire.PermRange, resp) {
+	if !permitted(acct, wire.PermRange, resp) ||
+		req.WithValues && !permitted(acct, wire.PermRead, resp) {
 		d.stats.Rejected.Add(1)
 		return
 	}
@@ -579,12 +596,25 @@ func (d *Drive) handleRange(acct wire.ACL, req, resp *wire.Message) {
 	if max <= 0 || max > 800 {
 		max = 800 // Kinetic caps range responses
 	}
-	d.waitMedia(OpScan, 0)
+	size, valueBytes := 0, 0
 	d.store.scan(req.StartKey, req.EndKey, req.KeyInclusive, req.Reverse, max,
-		func(key, _, _ []byte) bool {
+		func(key, value, _ []byte) bool {
+			if req.WithValues {
+				size += len(key) + len(value)
+				if size > rangeValueBudget && len(resp.Keys) > 0 {
+					resp.Truncated = true
+					return false
+				}
+				// Stored values are immutable once put, so the response
+				// aliases them as handleGet does.
+				resp.Values = append(resp.Values, d.corruptRead(value))
+				valueBytes += len(value)
+			}
 			resp.Keys = append(resp.Keys, cloneKey(key))
 			return true
 		})
+	// One positioning plus the transfer of every value returned.
+	d.waitMedia(OpScan, valueBytes)
 }
 
 // handleSecurity replaces the entire account table, exactly the

@@ -383,3 +383,96 @@ func TestP2PAccountSurvivesTakeover(t *testing.T) {
 		t.Fatalf("p2p account changed security: %v", resp.Status)
 	}
 }
+
+// rangeValues is a signed range read with values under the factory
+// account.
+func rangeValues(start, end string, max uint32) *wire.Message {
+	return signedReq(&wire.Message{
+		Type: wire.TGetKeyRange, StartKey: []byte(start), EndKey: []byte(end),
+		KeyInclusive: true, MaxReturned: max, WithValues: true,
+	})
+}
+
+func TestDriveRangeWithValues(t *testing.T) {
+	d := NewDrive(Config{})
+	for i := 0; i < 10; i++ {
+		d.Handle(signedReq(&wire.Message{
+			Type: wire.TPut, Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte(fmt.Sprintf("v%02d", i)), Force: true,
+		}))
+	}
+	resp := d.Handle(rangeValues("k03", "k07", 100))
+	if resp.Status != wire.StatusOK || len(resp.Keys) != 5 || len(resp.Values) != 5 || resp.Truncated {
+		t.Fatalf("range: %v, %d keys, %d values, truncated %v", resp.Status, len(resp.Keys), len(resp.Values), resp.Truncated)
+	}
+	for i, k := range resp.Keys {
+		if want := "v" + string(k[1:]); string(resp.Values[i]) != want {
+			t.Errorf("value of %q = %q, want %q", k, resp.Values[i], want)
+		}
+	}
+	// The count cap alone is not a budget cut.
+	if resp := d.Handle(rangeValues("k00", "k09", 4)); len(resp.Keys) != 4 || resp.Truncated {
+		t.Fatalf("capped range: %d keys, truncated %v", len(resp.Keys), resp.Truncated)
+	}
+}
+
+// TestDriveRangeValuesNeedRead: listing keys needs RANGE, returning
+// their values needs READ as well.
+func TestDriveRangeValuesNeedRead(t *testing.T) {
+	d := NewDrive(Config{})
+	seed := signedReq(&wire.Message{Type: wire.TPut, Key: []byte("k"), Value: []byte("secret"), Force: true})
+	if resp := d.Handle(seed); resp.Status != wire.StatusOK {
+		t.Fatalf("seed: %v", resp.Status)
+	}
+	resp := d.Handle(signedReq(&wire.Message{Type: wire.TSecurity, ACLs: []wire.ACL{
+		{Identity: "lister", Key: []byte("listersecret"), Perms: wire.PermRange},
+	}}))
+	if resp.Status != wire.StatusOK {
+		t.Fatalf("security: %v %s", resp.Status, resp.StatusMsg)
+	}
+	req := func(withValues bool) *wire.Message {
+		m := &wire.Message{Type: wire.TGetKeyRange, User: "lister", StartKey: []byte("a"), EndKey: []byte("z"),
+			KeyInclusive: true, WithValues: withValues}
+		m.Sign([]byte("listersecret"))
+		return m
+	}
+	if resp := d.Handle(req(false)); resp.Status != wire.StatusOK || len(resp.Keys) != 1 {
+		t.Fatalf("keys-only range: %v, %d keys", resp.Status, len(resp.Keys))
+	}
+	rejected := d.Stats().Rejected.Load()
+	resp = d.Handle(req(true))
+	if resp.Status != wire.StatusNotAuthorized || len(resp.Values) != 0 {
+		t.Fatalf("range with values without READ: %v, %d values", resp.Status, len(resp.Values))
+	}
+	if d.Stats().Rejected.Load() != rejected+1 {
+		t.Error("rejection not counted")
+	}
+}
+
+// TestDriveRangeValuesByteBudget: values larger than the response
+// budget end the response early with Truncated set, and a single value
+// over the budget still comes back alone so a scan makes progress.
+func TestDriveRangeValuesByteBudget(t *testing.T) {
+	d := NewDrive(Config{})
+	big := bytes.Repeat([]byte("x"), rangeValueBudget/3+1)
+	for i := 0; i < 5; i++ {
+		d.Handle(signedReq(&wire.Message{Type: wire.TPut, Key: []byte(fmt.Sprintf("b%d", i)), Value: big, Force: true}))
+	}
+	resp := d.Handle(rangeValues("b0", "b9", 100))
+	if resp.Status != wire.StatusOK || len(resp.Keys) != 2 || len(resp.Values) != 2 || !resp.Truncated {
+		t.Fatalf("budgeted range: %v, %d keys, %d values, truncated %v",
+			resp.Status, len(resp.Keys), len(resp.Values), resp.Truncated)
+	}
+	// The truncated response still fits one frame.
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, resp); err != nil {
+		t.Fatalf("budgeted response does not frame: %v", err)
+	}
+
+	huge := bytes.Repeat([]byte("y"), rangeValueBudget+1)
+	d.Handle(signedReq(&wire.Message{Type: wire.TPut, Key: []byte("h0"), Value: huge, Force: true}))
+	d.Handle(signedReq(&wire.Message{Type: wire.TPut, Key: []byte("h1"), Value: []byte("small"), Force: true}))
+	resp = d.Handle(rangeValues("h0", "h9", 100))
+	if len(resp.Keys) != 1 || len(resp.Values[0]) != len(huge) || !resp.Truncated {
+		t.Fatalf("over-budget value: %d keys, truncated %v", len(resp.Keys), resp.Truncated)
+	}
+}

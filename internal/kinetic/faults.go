@@ -27,7 +27,8 @@ type Faults struct {
 	// ErrorEveryN > 0 answers every Nth request with an internal-error
 	// status instead of executing it.
 	ErrorEveryN int64
-	// CorruptEveryN > 0 flips a byte in every Nth GET response value.
+	// CorruptEveryN > 0 flips a byte in every Nth value a read returns:
+	// a GET response value, or one value of a range read with values.
 	// The store itself is untouched (the response is corrupted on a
 	// copy); the authenticated codec upstream detects the damage, so
 	// this exercises the corrupt-replica repair path end to end.
@@ -54,7 +55,7 @@ type faultState struct {
 	cfg Faults
 
 	reqs atomic.Int64 // requests seen (ErrorEveryN counter)
-	gets atomic.Int64 // GETs seen (CorruptEveryN counter)
+	gets atomic.Int64 // values read (CorruptEveryN counter)
 
 	dropped   atomic.Uint64
 	errors    atomic.Uint64

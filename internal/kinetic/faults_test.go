@@ -116,3 +116,33 @@ func TestFaultsCorruptOnReadLeavesStoreIntact(t *testing.T) {
 		t.Fatalf("store was damaged by read corruption: %q", resp.Value)
 	}
 }
+
+// TestFaultsCorruptHitsRangeValues: CorruptEveryN counts the values a
+// range read returns like GET values, and damages only the response.
+func TestFaultsCorruptHitsRangeValues(t *testing.T) {
+	d := NewDrive(Config{Name: "cor"})
+	for i := 0; i < 4; i++ {
+		seedRecord(t, d, fmt.Sprintf("k%d", i), fmt.Sprintf("payload-%d", i))
+	}
+	d.SetFaults(Faults{CorruptEveryN: 2})
+	resp := d.Handle(signedReq(&wire.Message{
+		Type: wire.TGetKeyRange, StartKey: []byte("k0"), EndKey: []byte("k9"), KeyInclusive: true, WithValues: true,
+	}))
+	if resp.Status != wire.StatusOK || len(resp.Values) != 4 {
+		t.Fatalf("range: %v, %d values", resp.Status, len(resp.Values))
+	}
+	for i, v := range resp.Values {
+		pristine := string(v) == fmt.Sprintf("payload-%d", i)
+		if wantCorrupt := i%2 == 1; pristine == wantCorrupt {
+			t.Errorf("value %d = %q, corrupted want %v", i, v, wantCorrupt)
+		}
+	}
+	if st := d.FaultStats(); st.Corrupted != 2 {
+		t.Fatalf("corrupted counter = %d, want 2", st.Corrupted)
+	}
+	d.ClearFaults()
+	resp = d.Handle(signedReq(&wire.Message{Type: wire.TGet, Key: []byte("k1")}))
+	if string(resp.Value) != "payload-1" {
+		t.Fatalf("store was damaged by range corruption: %q", resp.Value)
+	}
+}

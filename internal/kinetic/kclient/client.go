@@ -287,7 +287,7 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 		if !ok {
 			return nil, errors.New("kinetic: connection lost")
 		}
-		if resp.ServiceUs != 0 {
+		if resp.ServiceUs != 0 && obs.Tracing(ctx) {
 			// Attribute the drive's own service time (media wait
 			// included) under the current span; the remainder of the
 			// round trip is network and queueing.
@@ -449,6 +449,29 @@ func (c *Client) GetKeyRange(ctx context.Context, start, end []byte, startInclus
 		return nil, err
 	}
 	return resp.Keys, nil
+}
+
+// GetKeyRangeValues lists up to max keys in [start, end] together with
+// their stored values, in one round trip. truncated reports that the
+// drive's response byte budget ended the listing before max keys: the
+// caller resumes past the last returned key. A drive that ignores the
+// values request is an error, never a keys-only listing.
+func (c *Client) GetKeyRangeValues(ctx context.Context, start, end []byte, startInclusive bool, max int) (keys, values [][]byte, truncated bool, err error) {
+	resp, err := c.roundTrip(ctx, &wire.Message{
+		Type: wire.TGetKeyRange, StartKey: start, EndKey: end,
+		KeyInclusive: startInclusive, MaxReturned: uint32(max), WithValues: true,
+	})
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if err := statusToError(resp); err != nil {
+		return nil, nil, false, err
+	}
+	if len(resp.Values) != len(resp.Keys) {
+		return nil, nil, false, fmt.Errorf("kinetic: range read answered %d values for %d keys (drive without range values?)",
+			len(resp.Values), len(resp.Keys))
+	}
+	return resp.Keys, resp.Values, resp.Truncated, nil
 }
 
 // GetVersion fetches only the stored version of key.

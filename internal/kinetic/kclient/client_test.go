@@ -1,6 +1,7 @@
 package kclient
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -397,5 +398,61 @@ func TestReconnectChurn(t *testing.T) {
 	defer cancel()
 	if err := cl.Noop(ctx); err != nil {
 		t.Fatalf("client did not recover after churn: %v", err)
+	}
+}
+
+func TestClientRangeValues(t *testing.T) {
+	_, cl := startDrive(t)
+	ctx := context.Background()
+	for i := 0; i < 10; i++ {
+		if err := cl.Put(ctx, []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i)), nil, nil, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys, values, truncated, err := cl.GetKeyRangeValues(ctx, []byte("k03"), []byte("k07"), true, 100)
+	if err != nil || len(keys) != 5 || len(values) != 5 || truncated {
+		t.Fatalf("range values: %d keys, %d values, truncated %v, %v", len(keys), len(values), truncated, err)
+	}
+	for i, k := range keys {
+		if string(values[i]) != "v"+string(k[1:]) {
+			t.Errorf("value of %q = %q", k, values[i])
+		}
+	}
+}
+
+// TestClientRangeValuesRejectsKeysOnlyDrive: a drive that predates
+// range values ignores the request flag and answers keys only; the
+// client must fail rather than hand back keys without their values.
+func TestClientRangeValuesRejectsKeysOnlyDrive(t *testing.T) {
+	drive := kinetic.NewDrive(kinetic.Config{Name: "old"})
+	srvConn, cliConn := net.Pipe()
+	t.Cleanup(func() { srvConn.Close() })
+	go func() {
+		r := bufio.NewReader(srvConn)
+		for {
+			var req wire.Message
+			if err := wire.ReadFrame(r, &req); err != nil {
+				return
+			}
+			resp := drive.Handle(&req)
+			resp.Values, resp.Truncated = nil, false
+			if err := wire.WriteFrame(srvConn, resp); err != nil {
+				return
+			}
+		}
+	}()
+	cl, err := Dial(context.Background(),
+		func(context.Context) (net.Conn, error) { return cliConn, nil },
+		Credentials{Identity: kinetic.DefaultAdminIdentity, Key: kinetic.DefaultAdminKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	ctx := context.Background()
+	if err := cl.Put(ctx, []byte("k"), []byte("v"), nil, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _, _, err := cl.GetKeyRangeValues(ctx, []byte("a"), []byte("z"), true, 10); err == nil {
+		t.Fatalf("keys-only answer accepted: %d keys", len(keys))
 	}
 }

@@ -80,24 +80,26 @@ func (t MessageType) Response() MessageType {
 // IsRequest reports whether t is a request type.
 func (t MessageType) IsRequest() bool { return t >= TGet && t%2 == 0 }
 
+// messageTypeNames names every message type, indexed by type.
+var messageTypeNames = [...]string{
+	TGet: "GET", TGetResponse: "GET_RESPONSE",
+	TPut: "PUT", TPutResponse: "PUT_RESPONSE",
+	TDelete: "DELETE", TDeleteResponse: "DELETE_RESPONSE",
+	TGetKeyRange: "GETKEYRANGE", TGetKeyRangeResp: "GETKEYRANGE_RESPONSE",
+	TSecurity: "SECURITY", TSecurityResponse: "SECURITY_RESPONSE",
+	TErase: "ERASE", TEraseResponse: "ERASE_RESPONSE",
+	TNoop: "NOOP", TNoopResponse: "NOOP_RESPONSE",
+	TFlush: "FLUSH", TFlushResponse: "FLUSH_RESPONSE",
+	TP2PPush: "P2PPUSH", TP2PPushResponse: "P2PPUSH_RESPONSE",
+	TGetLog: "GETLOG", TGetLogResponse: "GETLOG_RESPONSE",
+	TGetVersion: "GETVERSION", TGetVersionResp: "GETVERSION_RESPONSE",
+	TBatch: "BATCH", TBatchResp: "BATCH_RESPONSE",
+}
+
 // String implements fmt.Stringer for diagnostics.
 func (t MessageType) String() string {
-	names := map[MessageType]string{
-		TGet: "GET", TGetResponse: "GET_RESPONSE",
-		TPut: "PUT", TPutResponse: "PUT_RESPONSE",
-		TDelete: "DELETE", TDeleteResponse: "DELETE_RESPONSE",
-		TGetKeyRange: "GETKEYRANGE", TGetKeyRangeResp: "GETKEYRANGE_RESPONSE",
-		TSecurity: "SECURITY", TSecurityResponse: "SECURITY_RESPONSE",
-		TErase: "ERASE", TEraseResponse: "ERASE_RESPONSE",
-		TNoop: "NOOP", TNoopResponse: "NOOP_RESPONSE",
-		TFlush: "FLUSH", TFlushResponse: "FLUSH_RESPONSE",
-		TP2PPush: "P2PPUSH", TP2PPushResponse: "P2PPUSH_RESPONSE",
-		TGetLog: "GETLOG", TGetLogResponse: "GETLOG_RESPONSE",
-		TGetVersion: "GETVERSION", TGetVersionResp: "GETVERSION_RESPONSE",
-		TBatch: "BATCH", TBatchResp: "BATCH_RESPONSE",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if int(t) < len(messageTypeNames) && messageTypeNames[t] != "" {
+		return messageTypeNames[t]
 	}
 	return fmt.Sprintf("MessageType(%d)", uint8(t))
 }
@@ -251,6 +253,13 @@ type Message struct {
 	Reverse      bool
 	Keys         [][]byte // range response payload
 	KeyInclusive bool     // StartKey inclusive flag for ranges
+	// WithValues asks a range read to return each key's stored value
+	// too (requests); Values carries them, one entry per key in Keys
+	// order, and Truncated marks a response the drive's byte budget
+	// cut short of MaxReturned (responses).
+	WithValues bool
+	Values     [][]byte
+	Truncated  bool
 
 	ACLs []ACL  // security request payload
 	Pin  []byte // erase PIN
@@ -326,6 +335,9 @@ const (
 	fGroupStatus
 	fTraceID
 	fServiceUs
+	fWithValues
+	fValuesEntry
+	fTruncated
 )
 
 // Marshal encodes m, including its HMAC field if present.
@@ -458,6 +470,15 @@ func (m *Message) appendTail(buf []byte) []byte {
 		binary.BigEndian.PutUint32(su[:], m.ServiceUs)
 		buf = appendField(buf, fServiceUs, su[:])
 	}
+	if m.WithValues {
+		buf = appendField(buf, fWithValues, []byte{1})
+	}
+	for _, v := range m.Values {
+		buf = appendField(buf, fValuesEntry, v)
+	}
+	if m.Truncated {
+		buf = appendField(buf, fTruncated, []byte{1})
+	}
 	return buf
 }
 
@@ -578,6 +599,12 @@ func (m *Message) Unmarshal(data []byte) error {
 				return errors.New("wire: bad serviceUs field")
 			}
 			m.ServiceUs = binary.BigEndian.Uint32(val)
+		case fWithValues:
+			m.WithValues = len(val) == 1 && val[0] == 1
+		case fValuesEntry:
+			m.Values = append(m.Values, alias(val))
+		case fTruncated:
+			m.Truncated = len(val) == 1 && val[0] == 1
 		case fHMAC:
 			sawHMAC = true
 			m.HMAC = alias(val)

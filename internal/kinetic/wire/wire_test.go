@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -509,5 +510,51 @@ func BenchmarkWireRoundTrip1MiB(b *testing.B) {
 		if !got.Verify(key) {
 			b.Fatal("round-tripped frame fails verification")
 		}
+	}
+}
+
+// TestRangeValuesRoundTrip: a range read's values request, its values
+// (an empty value included) and its truncation flag survive the
+// encoding, and the HMAC covers the values.
+func TestRangeValuesRoundTrip(t *testing.T) {
+	msgs := []*Message{
+		{Type: TGetKeyRange, Seq: 3, User: "u", StartKey: []byte("a"), EndKey: []byte("z"),
+			MaxReturned: 51, KeyInclusive: true, WithValues: true},
+		{Type: TGetKeyRangeResp, Seq: 3, Keys: [][]byte{[]byte("a"), []byte("b"), []byte("c")},
+			Values: [][]byte{[]byte("va"), nil, []byte("vc")}, Truncated: true},
+	}
+	for _, m := range msgs {
+		var got Message
+		if err := got.Unmarshal(m.Marshal()); err != nil {
+			t.Fatalf("unmarshal %v: %v", m.Type, err)
+		}
+		if !reflect.DeepEqual(*m, got) {
+			t.Errorf("round trip %v:\n got %+v\nwant %+v", m.Type, got, *m)
+		}
+	}
+
+	resp := msgs[1]
+	resp.Sign([]byte("key"))
+	var got Message
+	if err := got.Unmarshal(resp.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	got.Values[0][0] ^= 0xff
+	if got.Verify([]byte("key")) {
+		t.Error("HMAC verified over a tampered range value")
+	}
+}
+
+func TestMessageTypeStringAllocsNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = TGetKeyRange.String() }); n != 0 {
+		t.Errorf("MessageType.String allocates %v times per call, want 0", n)
+	}
+	for typ := TGet; typ <= TBatchResp; typ++ {
+		if typ.String() == "" || strings.HasPrefix(typ.String(), "MessageType(") {
+			t.Errorf("type %d has no name", uint8(typ))
+		}
+	}
+	if TInvalid.String() != "MessageType(0)" || MessageType(255).String() != "MessageType(255)" {
+		t.Errorf("unnamed types render as %q and %q", TInvalid.String(), MessageType(255).String())
 	}
 }

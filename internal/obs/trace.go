@@ -316,6 +316,13 @@ func RecordSpan(ctx context.Context, name string, start time.Time, dur time.Dura
 	sc.trace.recordSpan(sc.span, name, start.Sub(sc.trace.base), dur, attrs)
 }
 
+// Tracing reports whether ctx carries an active span, so callers can
+// skip building attributes for a RecordSpan that would be a no-op.
+func Tracing(ctx context.Context) bool {
+	_, ok := ctx.Value(spanCtxKey).(spanCtx)
+	return ok
+}
+
 // TraceID returns the trace id visible in ctx: the active span's
 // trace if one is open, else an id installed by WithTraceID, else 0.
 // This is what the drive client stamps into wire messages and the

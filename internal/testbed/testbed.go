@@ -415,7 +415,7 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 	c.REST = core.NewREST(c.Controller)
 	c.restLn = netx.NewListener(name)
 	srvCfg := tlsutil.ServerConfig(c.serverID, e.CA.Pool())
-	c.httpSrv = &http.Server{Handler: c.REST}
+	c.httpSrv = &http.Server{Handler: c.REST, ConnContext: c.REST.ConnContext}
 	go c.httpSrv.Serve(tls.NewListener(restLnAdapter{c.restLn}, srvCfg))
 	return c, nil
 }
